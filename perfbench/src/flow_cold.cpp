@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 
 #include "celllib/generator.h"
@@ -41,12 +42,13 @@ struct Phase {
 /// Runs flows for `seconds`, alternating thread counts (which comes first
 /// is drawn from the seed), and checks every result is bit-identical to
 /// the first one and to the paper table. `traced` wraps each flow in a
-/// span and runs all-core flows only.
+/// span and runs all-core flows only. `between` runs before every flow but
+/// the first, outside the flow and gap timings.
 Phase run_flows(const cny::celllib::Library& lib,
                 const cny::netlist::Design& design,
                 const cny::service::FlowRequest& request, double seconds,
                 std::uint64_t seed, bool traced, std::string& reference,
-                Report& report) {
+                Report& report, const std::function<void()>& between) {
   Phase phase;
   const auto deadline =
       Clock::now() + std::chrono::duration<double>(seconds);
@@ -56,6 +58,11 @@ Phase run_flows(const cny::celllib::Library& lib,
     if (Clock::now() >= deadline && phase.all_ms.size() >= 3 &&
         (traced || phase.t1_ms.size() >= 3)) {
       break;
+    }
+    if (i > 0) {
+      const auto paused = Clock::now();
+      between();
+      last_end += Clock::now() - paused;
     }
     cny::yield::FlowParams params = request.params;
     params.n_threads = one_thread ? 1 : 0;
@@ -98,22 +105,35 @@ void run_flow_cold(const Options& opts, Report& report) {
   report.input("corners", 1);
 
   // Set-up is what a CLI flow builds before its first p_F call: the
-  // generated library and the design.
-  std::unique_ptr<cny::celllib::Library> lib;
-  std::unique_ptr<cny::netlist::Design> design;
-  const double setup_ms =
-      median_ms(static_cast<int>(cfg_num(opts.config, "setup_reps")), [&] {
-        design.reset();
-        lib = std::make_unique<cny::celllib::Library>(
+  // generated library and the design. A set-up is well under a
+  // millisecond and the host's speed drifts over tenths of a second, so
+  // set-ups are timed in short bursts, one before the flows and one
+  // between consecutive untraced flows; setup_s is their median.
+  std::vector<double> setup_samples;
+  const int burst = static_cast<int>(cfg_num(opts.config, "setup_burst"));
+  const auto set_up_burst = [&] {
+    for (int i = 0; i < burst; ++i) {
+      const auto t0 = Clock::now();
+      {
+        const auto lib = std::make_unique<cny::celllib::Library>(
             cny::celllib::make_nangate45_like());
-        design = std::make_unique<cny::netlist::Design>(
+        const auto design = std::make_unique<cny::netlist::Design>(
             cny::netlist::make_openrisc_like(*lib));
-      });
+      }
+      setup_samples.push_back(ms_since(t0));
+    }
+  };
+  set_up_burst();
+  const auto lib = std::make_unique<cny::celllib::Library>(
+      cny::celllib::make_nangate45_like());
+  const auto design = std::make_unique<cny::netlist::Design>(
+      cny::netlist::make_openrisc_like(*lib));
 
   const double measured = opts.trace ? opts.seconds / 2 : opts.seconds;
   std::string reference;
   const Phase phase = run_flows(*lib, *design, request, measured, opts.seed,
-                                false, reference, report);
+                                false, reference, report, set_up_burst);
+  const double setup_ms = median(setup_samples);
   const double flow_ms = median(phase.all_ms);
   const double flow_t1_ms = median(phase.t1_ms);
 
@@ -126,6 +146,7 @@ void run_flow_cold(const Options& opts, Report& report) {
   report.named("flow_s.t1", flow_t1_ms / 1000.0, "s");
   report.input("flows.all_cores", static_cast<double>(phase.all_ms.size()));
   report.input("flows.t1", static_cast<double>(phase.t1_ms.size()));
+  report.input("setups", static_cast<double>(setup_samples.size()));
   if (!opts.trace) return;
 
   // Closed loop: the harness issues each flow as the previous one returns,
@@ -141,7 +162,7 @@ void run_flow_cold(const Options& opts, Report& report) {
 
   Tracer::get().enable(true);
   const Phase traced = run_flows(*lib, *design, request, opts.seconds / 2,
-                                 opts.seed, true, reference, report);
+                                 opts.seed, true, reference, report, [] {});
   Tracer::get().enable(false);
   const double traced_ms = median(traced.all_ms);
   report.layer("trace.overhead_pct", 100.0 * (traced_ms - flow_ms) / flow_ms,

@@ -1,5 +1,7 @@
 // serve_zipf: an open loop into an in-process YieldServer with default
-// ServerOptions through loopback submit(), from one generator thread.
+// ServerOptions but `server_threads` compute threads (fewer than the
+// shared host's cores; see workloads.json) through loopback submit(), from
+// one generator thread.
 // Poisson arrivals at two fixed offered rates (light, heavy), then a
 // closed-loop saturation phase with a fixed number of requests
 // outstanding. The three phases repeat in short cycles, so a slow spell of
@@ -326,10 +328,14 @@ PhaseResult drive(svc::YieldServer& server, const Workload& w,
   return out;
 }
 
-/// Server with default options, every corner warmed by one request.
+/// Server with default options but `n_threads` compute threads, every
+/// corner warmed by one request.
 std::unique_ptr<svc::YieldServer> warm_server(const Workload& w,
-                                              std::size_t pool_size) {
-  auto server = std::make_unique<svc::YieldServer>();
+                                              std::size_t pool_size,
+                                              unsigned n_threads) {
+  svc::ServerOptions options;
+  options.n_threads = n_threads;
+  auto server = std::make_unique<svc::YieldServer>(options);
   server->start();
   for (std::size_t c = 0; c < w.corners; ++c) {
     (void)server->submit(svc::encode_flow_request(w.pool[c * pool_size])).get();
@@ -344,12 +350,14 @@ void run_serve_zipf(const Options& opts, Report& report) {
   const Workload w = generate(opts, measured);
   const auto pool_size =
       static_cast<std::size_t>(cfg_num(opts.config, "pool_size"));
+  const auto server_threads =
+      static_cast<unsigned>(cfg_num(opts.config, "server_threads"));
 
   std::unique_ptr<svc::YieldServer> server;
   const double setup_ms =
       median_ms(static_cast<int>(cfg_num(opts.config, "setup_reps")), [&] {
         server.reset();
-        server = warm_server(w, pool_size);
+        server = warm_server(w, pool_size, server_threads);
       });
 
   PhaseResult run;
@@ -422,7 +430,7 @@ void run_serve_zipf(const Options& opts, Report& report) {
   // The traced replay runs the open-loop phases only, on a fresh server,
   // so the server's histograms describe the load the latency metrics see
   // (saturation traffic would swamp them).
-  server = warm_server(w, pool_size);
+  server = warm_server(w, pool_size, server_threads);
   Tracer::get().enable(true);
   PhaseResult traced;
   {

@@ -36,7 +36,8 @@ void BM_FullYieldFlow(benchmark::State& state) {
 BENCHMARK(BM_FullYieldFlow)->Unit(benchmark::kMillisecond);
 
 // Arg = thread count at a fixed stream count: every arg computes the
-// identical numbers, so the curve is the pure scheduling speedup.
+// identical numbers, so the curve is the pure scheduling speedup, timed in
+// wall-clock (UseRealTime) since the helper threads do most of the work.
 void BM_FullYieldFlowThreads(benchmark::State& state) {
   cny::experiments::PaperParams params;
   params.n_threads = static_cast<unsigned>(state.range(0));
@@ -50,6 +51,7 @@ BENCHMARK(BM_FullYieldFlowThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The batched entry point: a 3-point yield-target sweep sharing one p_F(W)

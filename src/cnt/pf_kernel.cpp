@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cnt/pf_kernel_internal.h"
+#include "exec/thread_pool.h"
 #include "numeric/integrate.h"
 #include "numeric/special.h"
 #include "util/contracts.h"
@@ -37,11 +38,42 @@ inline double p_series_sum(double x, double eps,
   return sum;
 }
 
+/// Nodes per shard of the sharded node loops: 10-30 shards per pass over
+/// the few thousand nodes of a Brent-range width, small enough to balance
+/// across cores, large enough that a hand-off costs little next to a
+/// shard's incomplete gammas. No value depends on it (nor on the thread
+/// count): every cross-node sum is formed afterwards, in node order.
+constexpr std::size_t kNodeChunk = 192;
+
+/// Runs body(lo, hi) over [0, n_nodes) in kNodeChunk shards across `team`
+/// (a one-thread team runs them inline, in order). The body writes only
+/// node-indexed slots of its shard; every cross-node sum is formed
+/// afterwards by sum_in_node_order.
+template <class Body>
+void for_node_chunks(exec::LoopTeam& team, std::size_t n_nodes,
+                     const Body& body) {
+  const std::size_t chunks = (n_nodes + kNodeChunk - 1) / kNodeChunk;
+  team.run(chunks, [&](std::size_t c) {
+    const std::size_t lo = c * kNodeChunk;
+    body(lo, std::min(n_nodes, lo + kNodeChunk));
+  });
+}
+
+/// The reduction contract of the sharded loops: per-node contributions
+/// summed serially in node order, i.e. the exact op sequence of the
+/// single-threaded `sum += contribution(j)` loop. A skipped node holds
+/// +0.0, which leaves a non-negative running sum unchanged.
+double sum_in_node_order(const std::vector<double>& contrib) {
+  double sum = 0.0;
+  for (const double c : contrib) sum += c;
+  return sum;
+}
+
 }  // namespace
 
 namespace detail {
 
-PfGrid pf_setup(const PitchModel& pitch, double width) {
+PfGrid pf_setup(const PitchModel& pitch, double width, unsigned n_threads) {
   PfGrid grid;
   grid.width = width;
   const double k = grid.k = pitch.shape();
@@ -49,10 +81,13 @@ PfGrid pf_setup(const PitchModel& pitch, double width) {
   const double mu = pitch.mean();
 
   grid.p0 = std::max(0.0, 1.0 - pitch.equilibrium_cdf(width));
+  exec::LoopTeam team(n_threads);
 
   // Node-major quadrature grid: the panel layout (split point, panel
   // counts, 16-point GL rule) replicates CountDistribution's construction,
   // but f_e(u)·w and x = (W-u)/θ are computed once instead of per term.
+  // The layout pass is plain arithmetic; the f_e(u) evaluations (one
+  // incomplete gamma each) run sharded afterwards.
   const double u_cap = std::min(width, pitch.upper_quantile(kTailEps));
   const double u_split = std::min(0.5 * u_cap, theta);
   const int panels_head = 24;
@@ -60,8 +95,10 @@ PfGrid pf_setup(const PitchModel& pitch, double width) {
 
   std::vector<double>& xs = grid.xs;
   std::vector<double>& fw = grid.fw;
+  std::vector<double> us;  // per node: abscissa u
   xs.reserve(16 * static_cast<std::size_t>(panels_head + panels_tail));
   fw.reserve(xs.capacity());
+  us.reserve(xs.capacity());
   const auto add_panels = [&](double a, double b, int panels) {
     const auto& gn = numeric::gl16_nodes();
     const auto& gw = numeric::gl16_weights();
@@ -74,7 +111,8 @@ PfGrid pf_setup(const PitchModel& pitch, double width) {
           const double x = (width - u) / theta;
           if (x <= 0.0) continue;
           xs.push_back(x);
-          fw.push_back(gw[i] * r * pitch.equilibrium_pdf(u));
+          fw.push_back(gw[i] * r);  // times f_e(u) below
+          us.push_back(u);
         }
       }
     }
@@ -82,6 +120,11 @@ PfGrid pf_setup(const PitchModel& pitch, double width) {
   add_panels(0.0, u_split, panels_head);
   add_panels(u_split, u_cap, panels_tail);
   const std::size_t n_nodes = xs.size();
+  for_node_chunks(team, n_nodes, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t j = lo; j < hi; ++j) {
+      fw[j] = fw[j] * pitch.equilibrium_pdf(us[j]);
+    }
+  });
 
   // Where the full-PMF path stops: at n_floor, or earlier once the whole
   // remaining count tail P{N > n} ≤ F_{nk}(W) is below kTailEps. Replicated
@@ -110,10 +153,14 @@ PfGrid pf_setup(const PitchModel& pitch, double width) {
 
   // Quadrature mass of Σ_{n=1}^{n_stop} pₙ, via the telescoped form
   // ∫ f_e(u)·Q(n_stop·k, x) du — one gamma per node instead of n_stop.
-  double mass_tail = 0.0;
-  for (std::size_t j = 0; j < n_nodes; ++j) {
-    mass_tail += fw[j] * gamma_q(static_cast<double>(n_stop) * k, xs[j]);
-  }
+  std::vector<double> contrib(n_nodes);
+  const double a_stop = static_cast<double>(n_stop) * k;
+  for_node_chunks(team, n_nodes, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t j = lo; j < hi; ++j) {
+      contrib[j] = fw[j] * gamma_q(a_stop, xs[j]);
+    }
+  });
+  const double mass_tail = sum_in_node_order(contrib);
   grid.mass_tail = mass_tail;
   grid.total = grid.p0 + mass_tail;
   CNY_ENSURE_MSG(std::fabs(grid.total - 1.0) < 1e-6,
@@ -131,14 +178,16 @@ PfGrid pf_setup(const PitchModel& pitch, double width) {
 
   if (grid.prefactored) {
     grid.tau0.resize(n_nodes);
-    for (std::size_t j = 0; j < n_nodes; ++j) grid.tau0[j] = std::exp(-xs[j]);
+    if (!grid.ladder) grid.xk.resize(n_nodes);
+    for_node_chunks(team, n_nodes, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t j = lo; j < hi; ++j) {
+        grid.tau0[j] = std::exp(-xs[j]);
+        if (!grid.ladder) grid.xk[j] = std::pow(xs[j], k);
+      }
+    });
     if (!grid.ladder) {
       double x_max = 0.0;
-      grid.xk.resize(n_nodes);
-      for (std::size_t j = 0; j < n_nodes; ++j) {
-        grid.xk[j] = std::pow(xs[j], k);
-        x_max = std::max(x_max, xs[j]);
-      }
+      for (const double x : xs) x_max = std::max(x_max, x);
       // Reciprocal table sized for the series' worst case, the slow decay
       // just below the x = a+1 split.
       grid.inv_len = static_cast<std::size_t>(16.0 * std::sqrt(x_max)) + 96;
@@ -147,7 +196,8 @@ PfGrid pf_setup(const PitchModel& pitch, double width) {
   return grid;
 }
 
-PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
+PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol,
+                               unsigned n_threads) {
   const std::size_t n_nodes = grid.xs.size();
   const std::vector<double>& xs = grid.xs;
   const std::vector<double>& fw = grid.fw;
@@ -168,9 +218,16 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
   //    and seeds gamma_q_prefactored, which skips the per-call
   //    exp/log/lgamma prefactor and runs its series/continued fraction at
   //    a tolerance matched to the term's certified contribution budget.
+  //
+  // Each term's node loop runs sharded (for_node_chunks): a shard updates
+  // only its nodes' τ / Q slots and writes each node's contribution to
+  // `contrib`, and the term is their node-order sum — so term, cum_mass,
+  // acc, eps and the truncation point are the same bits at any n_threads.
   std::vector<double> q_prev(n_nodes, 0.0);  // Q((n-1)k, x): Q(0,·) := 0
   std::vector<double> tau = grid.tau0;       // empty on the gamma_q path
   std::vector<double> inv_shape(grid.inv_len);
+  std::vector<double> contrib(n_nodes);
+  exec::LoopTeam team(n_threads);
 
   double acc = grid.p0;   // Σ_{m<n} pₘ z^m, raw quadrature values
   double cum_mass = 0.0;  // Σ_{1≤m<n} pₘ
@@ -180,6 +237,14 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
   long terms = 0;
   double rem_bound = 0.0;
 
+  // Q(a_hi, x) − Q(a_hi − k, x) per node, clipped at 0 (rounding can make
+  // adjacent Q values cross).
+  const auto record_diff = [&](std::size_t j, double q_hi) {
+    const double diff = q_hi - q_prev[j];
+    q_prev[j] = q_hi;
+    contrib[j] = diff > 0.0 ? fw[j] * diff : 0.0;
+  };
+
   for (long n = 1; n <= n_stop; ++n) {
     zn *= z;
     // Certified truncation: everything not yet accumulated is bounded by
@@ -188,19 +253,20 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
     rem_bound = zn * std::max(0.0, mass_tail - cum_mass);
     if (rem_bound <= rel_tol * acc) break;
 
-    double term = 0.0;
     if (grid.ladder) {
-      for (std::size_t j = 0; j < n_nodes; ++j) {
-        const double x = xs[j];
-        double t = tau[j];
-        double dq = 0.0;
-        for (long s = 0; s < k_int; ++s) {
-          dq += t;
-          t *= x / (shape + static_cast<double>(s) + 1.0);
+      for_node_chunks(team, n_nodes, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t j = lo; j < hi; ++j) {
+          const double x = xs[j];
+          double t = tau[j];
+          double dq = 0.0;
+          for (long s = 0; s < k_int; ++s) {
+            dq += t;
+            t *= x / (shape + static_cast<double>(s) + 1.0);
+          }
+          tau[j] = t;
+          contrib[j] = fw[j] * dq;
         }
-        tau[j] = t;
-        term += fw[j] * dq;
-      }
+      });
       shape += static_cast<double>(k_int);
     } else {
       const double a_hi = static_cast<double>(n) * k;
@@ -212,36 +278,36 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
         // the cap keeps relaxed terms honest.
         double eps = acc > 0.0 ? rel_tol * acc / rem_bound : 1e-15;
         eps = std::clamp(eps, 1e-15, 1e-6);
-        const double lg_cur = std::lgamma(a_hi + 1.0);
+        const double lg_cur = numeric::log_gamma(a_hi + 1.0);
         const double rho = std::exp(lg_prev - lg_cur);
         lg_prev = lg_cur;
         // This term's series denominators, shared by every node.
         for (std::size_t i = 1; i < inv_shape.size(); ++i) {
           inv_shape[i] = 1.0 / (a_hi + static_cast<double>(i));
         }
-        for (std::size_t j = 0; j < n_nodes; ++j) {
-          tau[j] *= grid.xk[j] * rho;
-          const double x = xs[j];
-          // x < a+1 runs the table-backed series; past the split,
-          // gamma_q_prefactored takes its continued-fraction branch.
-          const double q_hi =
-              x < a_hi + 1.0
-                  ? 1.0 - tau[j] * p_series_sum(x, eps, inv_shape)
-                  : numeric::gamma_q_prefactored(a_hi, x, tau[j], eps);
-          const double diff = q_hi - q_prev[j];
-          q_prev[j] = q_hi;
-          if (diff > 0.0) term += fw[j] * diff;
-        }
+        for_node_chunks(team, n_nodes, [&](std::size_t lo,
+                                                std::size_t hi) {
+          for (std::size_t j = lo; j < hi; ++j) {
+            tau[j] *= grid.xk[j] * rho;
+            const double x = xs[j];
+            // x < a+1 runs the table-backed series; past the split,
+            // gamma_q_prefactored takes its continued-fraction branch.
+            record_diff(j, x < a_hi + 1.0
+                               ? 1.0 - tau[j] * p_series_sum(x, eps, inv_shape)
+                               : numeric::gamma_q_prefactored(a_hi, x, tau[j],
+                                                              eps));
+          }
+        });
       } else {
-        for (std::size_t j = 0; j < n_nodes; ++j) {
-          const double q_hi = gamma_q(a_hi, xs[j]);
-          const double diff = q_hi - q_prev[j];
-          q_prev[j] = q_hi;
-          if (diff > 0.0) term += fw[j] * diff;
-        }
+        for_node_chunks(team, n_nodes, [&](std::size_t lo,
+                                                std::size_t hi) {
+          for (std::size_t j = lo; j < hi; ++j) {
+            record_diff(j, gamma_q(a_hi, xs[j]));
+          }
+        });
       }
     }
-    term = std::max(0.0, term);
+    const double term = std::max(0.0, sum_in_node_order(contrib));
     cum_mass += term;
     acc += term * zn;
     ++terms;
@@ -258,15 +324,15 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
 }  // namespace detail
 
 PfKernelResult pf_truncated(const PitchModel& pitch, double width, double z,
-                            double rel_tol) {
+                            double rel_tol, unsigned n_threads) {
   CNY_EXPECT(width >= 0.0);
   CNY_EXPECT(z >= 0.0 && z <= 1.0);
   CNY_EXPECT(rel_tol > 0.0);
   if (width == 0.0) return {1.0, 0, 0.0};  // N ≡ 0, G ≡ 1
   if (z == 1.0) return {1.0, 0, 0.0};      // G(1) = total mass / total mass
 
-  const detail::PfGrid grid = detail::pf_setup(pitch, width);
-  return detail::pf_terms_scalar(grid, z, rel_tol);
+  const detail::PfGrid grid = detail::pf_setup(pitch, width, n_threads);
+  return detail::pf_terms_scalar(grid, z, rel_tol, n_threads);
 }
 
 }  // namespace cny::cnt

@@ -33,6 +33,9 @@
 
 namespace cny::cnt {
 
+/// Default truncation tolerance of the p_F kernels (relative to the result).
+inline constexpr double kPfRelTol = 1e-14;
+
 struct PfKernelResult {
   /// G_N(W)(z), normalised by the quadrature mass exactly like the
   /// full-PMF path (so the two agree to ≤1e-12 relative).
@@ -47,8 +50,15 @@ struct PfKernelResult {
 /// Evaluates the probability generating function E[z^N(W)] of the CNT count
 /// in a width-`width` window, truncated once the remainder is certifiably
 /// below `rel_tol` of the result. `z` in [0, 1]; z = p_f gives p_F(W).
+///
+/// The per-node loops run in fixed node shards on up to `n_threads`
+/// threads of the shared exec pool (0 = hardware concurrency; 1 runs the
+/// same shards inline). Cross-node sums are formed serially in node order
+/// after each sharded loop, so every field of the result is bit-identical
+/// for every thread count.
 [[nodiscard]] PfKernelResult pf_truncated(const PitchModel& pitch,
                                           double width, double z,
-                                          double rel_tol = 1e-14);
+                                          double rel_tol = kPfRelTol,
+                                          unsigned n_threads = 1);
 
 }  // namespace cny::cnt

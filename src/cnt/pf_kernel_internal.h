@@ -53,13 +53,18 @@ struct PfGrid {
 };
 
 /// Builds the grid for one width (> 0). Throws via CNY_ENSURE when the
-/// quadrature mass deviates from 1 (same contract as pf_truncated).
-[[nodiscard]] PfGrid pf_setup(const PitchModel& pitch, double width);
+/// quadrature mass deviates from 1 (same contract as pf_truncated). The
+/// per-node loops shard over `n_threads` with node-order reductions, so
+/// the grid is the same bits at every thread count.
+[[nodiscard]] PfGrid pf_setup(const PitchModel& pitch, double width,
+                              unsigned n_threads = 1);
 
 /// The scalar term loop over a prebuilt grid: exactly the op sequence the
-/// original single-width kernel ran after its setup. `pf_truncated` is
-/// pf_setup + pf_terms_scalar.
+/// original single-width kernel ran after its setup, with each term's node
+/// loop sharded over `n_threads` and summed in node order. `pf_truncated`
+/// is pf_setup + pf_terms_scalar.
 [[nodiscard]] PfKernelResult pf_terms_scalar(const PfGrid& grid, double z,
-                                             double rel_tol);
+                                             double rel_tol,
+                                             unsigned n_threads = 1);
 
 }  // namespace cny::cnt::detail

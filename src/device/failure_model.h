@@ -49,13 +49,16 @@ class FailureModel {
   /// concurrent solver threads never serialise: when interpolation is
   /// enabled and `width` falls inside its range, an atomically loaded
   /// interpolant snapshot answers with no lock at all; otherwise the memo
-  /// is consulted under a shared (reader) lock.
-  [[nodiscard]] double p_f(double width) const;
+  /// is consulted under a shared (reader) lock. `n_threads` is passed to
+  /// the exact kernel on a memo miss (see p_f_exact).
+  [[nodiscard]] double p_f(double width, unsigned n_threads = 1) const;
 
   /// Always the analytic evaluation (the certified-truncation PGF kernel,
   /// exact to ~1e-12 relative), bypassing any enabled interpolant. Memoised
-  /// and thread-safe.
-  [[nodiscard]] double p_f_exact(double width) const;
+  /// and thread-safe. A memo miss shards the kernel's node loops over
+  /// `n_threads` (0 = hardware concurrency); the value is bit-identical
+  /// for every thread count.
+  [[nodiscard]] double p_f_exact(double width, unsigned n_threads = 1) const;
 
   /// Batched p_f(): one result per width, each bit-identical to the
   /// corresponding scalar p_f(width) call. Interpolant-covered widths read

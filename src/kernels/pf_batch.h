@@ -37,6 +37,6 @@ namespace cny::kernels {
 /// gamma_q fallback path (W/θ >= 650) always take the scalar reference.
 [[nodiscard]] std::vector<cnt::PfKernelResult> pf_truncated_batch(
     const cnt::PitchModel& pitch, std::span<const double> widths, double z,
-    double rel_tol = 1e-14);
+    double rel_tol = cnt::kPfRelTol);
 
 }  // namespace cny::kernels

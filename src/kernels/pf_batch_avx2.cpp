@@ -7,7 +7,7 @@
 //    vectorized. Each lane's value sequence is then *identical* to the
 //    scalar kernel's — vmulpd lane arithmetic is the same operation as
 //    mulsd, bit for bit.
-//  * Transcendentals (lgamma, exp) are scalar libm calls on lane-shared
+//  * Transcendentals (lgamma_r, exp) are scalar libm calls on lane-shared
 //    per-term quantities, exactly as in the scalar kernel. Nothing ever
 //    calls a vector math library.
 //  * This translation unit is compiled -mavx2 -mno-fma -ffp-contract=off:
@@ -38,6 +38,8 @@
 #include <cmath>
 #include <cstddef>
 #include <vector>
+
+#include "numeric/special.h"
 
 namespace cny::kernels::detail {
 
@@ -331,7 +333,7 @@ void pf_terms_avx2(const PfGrid* const* grids, int m, double z,
       shape += static_cast<double>(k_int);
     } else {
       const double a_hi = static_cast<double>(n) * k;
-      const double lg_cur = std::lgamma(a_hi + 1.0);
+      const double lg_cur = numeric::log_gamma(a_hi + 1.0);
       const double rho = std::exp(lg_prev - lg_cur);
       lg_prev = lg_cur;
       // This term's series denominators, shared by every lane and node.

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include <math.h>  // lgamma_r (POSIX)
+
 #include "util/contracts.h"
 
 namespace cny::numeric {
@@ -53,7 +55,10 @@ double gamma_q_cf(double a, double x) {
 
 double log_gamma(double a) {
   CNY_EXPECT(a > 0.0);
-  return std::lgamma(a);
+  // lgamma_r is the same libm code as std::lgamma without the write to the
+  // global `signgam`, which makes std::lgamma a data race between threads.
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
 }
 
 double gamma_p(double a, double x) {

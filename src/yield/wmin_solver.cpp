@@ -9,17 +9,20 @@
 namespace cny::yield {
 
 double invert_p_f(const device::FailureModel& model, double p_f_target,
-                  double w_lo, double w_hi) {
+                  double w_lo, double w_hi, unsigned n_threads) {
   CNY_EXPECT(p_f_target > 0.0 && p_f_target < 1.0);
   CNY_EXPECT(w_lo > 0.0 && w_hi > w_lo);
   // Work in log space: log p_F(W) is close to linear in W (Fig 2.1), which
   // makes Brent converge in a handful of iterations.
-  const auto log_pf = [&](double w) { return std::log(model.p_f(w)); };
+  const auto log_pf = [&](double w) {
+    return std::log(model.p_f(w, n_threads));
+  };
   const double target = std::log(p_f_target);
   // Both bracket endpoints in one batched query: on a cold model (no
   // interpolant, empty memo) the two kernel evaluations share one pass.
   // Refinement queries below are inherently serial (Brent picks each
-  // abscissa from the previous result) and hit the memo/interpolant.
+  // abscissa from the previous result): they hit the memo/interpolant, or
+  // run the exact kernel with its node loops sharded over n_threads.
   const std::array<double, 2> bracket = {w_lo, w_hi};
   const auto bracket_pf = model.p_f_batch(bracket);
   CNY_EXPECT_MSG(std::log(bracket_pf[0]) >= target,
@@ -89,7 +92,8 @@ WminResult solve_w_min(const WidthSpectrum& spectrum,
     const double target =
         budget / static_cast<double>(m_min) * request.relaxation;
     CNY_EXPECT_MSG(target < 1.0, "yield target unreachable: p_F* >= 1");
-    const double w = invert_p_f(model, target, request.w_lo, request.w_hi);
+    const double w = invert_p_f(model, target, request.w_lo, request.w_hi,
+                                request.n_threads);
 
     if (request.fixed_m_min > 0) {
       result.w_min = w;
@@ -123,8 +127,6 @@ WminResult solve_w_min(const WidthSpectrum& spectrum,
     m_min = count;
   }
   CNY_ENSURE_MSG(result.converged, "W_min fixpoint did not converge");
-
-  result.verification = circuit_yield(spectrum, model, result.w_min);
   return result;
 }
 

@@ -43,6 +43,10 @@ struct WminRequest {
   /// solve unchanged; a hook that evaluates to exactly 1 (p_Rm = 1)
   /// reproduces the open-only result bit for bit.
   std::function<double(double)> short_mode_yield;
+  /// Threads for the exact p_F evaluations of the Brent refinement (the
+  /// kernel's node shards; 0 = hardware concurrency). Scheduling only:
+  /// the solution is bit-identical for every value.
+  unsigned n_threads = 1;
 };
 
 struct WminResult {
@@ -52,17 +56,19 @@ struct WminResult {
   int iterations = 0;          ///< fixpoint iterations used
   bool converged = false;
   double short_mode_yield = 1.0; ///< Y_S(w_min); 1 when the hook is absent
-  YieldBreakdown verification; ///< full-spectrum yield at the solution
 };
 
-/// Solves W_min for the given width spectrum and device model.
+/// Solves W_min for the given width spectrum and device model. It does not
+/// evaluate the chip yield at the solution; callers that report it call
+/// circuit_yield(spectrum, model, result.w_min).
 [[nodiscard]] WminResult solve_w_min(const WidthSpectrum& spectrum,
                                      const device::FailureModel& model,
                                      const WminRequest& request);
 
-/// The graphical inner step alone: W such that p_F(W) = target.
+/// The graphical inner step alone: W such that p_F(W) = target. Exact p_F
+/// evaluations shard over `n_threads` (see WminRequest::n_threads).
 [[nodiscard]] double invert_p_f(const device::FailureModel& model,
                                 double p_f_target, double w_lo = 4.0,
-                                double w_hi = 400.0);
+                                double w_hi = 400.0, unsigned n_threads = 1);
 
 }  // namespace cny::yield

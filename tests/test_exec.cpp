@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -69,6 +71,114 @@ TEST(ThreadPool, WorkerThreadDetection) {
   });
   while (!done.load()) std::this_thread::yield();
   EXPECT_TRUE(seen.load());
+}
+
+TEST(ThreadPool, NestedParallelForFromDrainingCallerRunsInline) {
+  // One worker, held by the outer loop until the caller's nested loop is
+  // done: the nested loop must run inline on the caller, posting nothing
+  // to the busy pool. The bounded wait turns a hang into a failure.
+  exec::ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(64);
+  std::atomic<bool> nested_ran{false};
+  std::atomic<bool> nested_done{false};
+  std::atomic<bool> worker_timed_out{false};
+  std::atomic<int> off_caller_inner{0};
+  exec::parallel_for(
+      2, 2,
+      [&](std::size_t) {
+        if (std::this_thread::get_id() != caller) {
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(5);
+          while (!nested_done.load()) {
+            if (std::chrono::steady_clock::now() > give_up) {
+              worker_timed_out = true;
+              break;
+            }
+            std::this_thread::yield();
+          }
+          return;
+        }
+        if (nested_ran.exchange(true)) return;  // caller drew both indices
+        EXPECT_TRUE(exec::ThreadPool::on_worker_thread());
+        exec::parallel_for(
+            hits.size(), 4,
+            [&](std::size_t i) {
+              hits[i].fetch_add(1);
+              if (std::this_thread::get_id() != caller) ++off_caller_inner;
+            },
+            &pool);
+        nested_done = true;
+      },
+      &pool);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(off_caller_inner.load(), 0);
+  EXPECT_FALSE(worker_timed_out.load());
+  EXPECT_FALSE(exec::ThreadPool::on_worker_thread());  // mark restored
+}
+
+TEST(LoopTeam, ChainedLoopsCoverEveryIndexOnce) {
+  exec::LoopTeam team(4);
+  std::vector<std::atomic<int>> hits(97);
+  for (int loop = 0; loop < 200; ++loop) {
+    const std::size_t n = 1 + static_cast<std::size_t>(loop) % hits.size();
+    team.run(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    // Index i ran in every loop whose size exceeded it.
+    int expected = 0;
+    for (int loop = 0; loop < 200; ++loop) {
+      if (1 + static_cast<std::size_t>(loop) % hits.size() > i) ++expected;
+    }
+    EXPECT_EQ(hits[i].load(), expected) << i;
+  }
+}
+
+TEST(LoopTeam, FinishesWhenNoHelperIsEverScheduled) {
+  // The pool's only worker is parked until the loops are done, so the
+  // team's helper can never start: the caller must run every index.
+  exec::ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  pool.post([&] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  std::vector<int> hits(50, 0);
+  {
+    exec::LoopTeam team(4, &pool);
+    for (int loop = 0; loop < 3; ++loop) {
+      team.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    }
+  }
+  release = true;
+  for (const int h : hits) EXPECT_EQ(h, 3);
+}
+
+TEST(LoopTeam, RethrowsAndStaysUsable) {
+  exec::LoopTeam team(3);
+  EXPECT_THROW(team.run(64,
+                        [](std::size_t i) {
+                          if (i == 21) throw std::runtime_error("boom");
+                        }),
+               std::runtime_error);
+  std::vector<std::atomic<int>> hits(64);
+  team.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(LoopTeam, RunsInlineOnAPoolWorker) {
+  exec::ThreadPool pool(1);
+  std::atomic<bool> done{false};
+  std::atomic<int> off_thread{0};
+  pool.post([&] {
+    const auto self = std::this_thread::get_id();
+    exec::LoopTeam team(4, &pool);  // nested: must not wait on its pool
+    team.run(16, [&](std::size_t) {
+      if (std::this_thread::get_id() != self) ++off_thread;
+    });
+    done = true;
+  });
+  while (!done.load()) std::this_thread::yield();
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
 // -------------------------------------------------- parallel_mc_reduce
@@ -302,11 +412,14 @@ yield::FlowResult tiny_flow(unsigned n_threads) {
 TEST(FlowParallel, ThreadCountInvariantEndToEnd) {
   const auto t1 = tiny_flow(1);
   const auto t2 = tiny_flow(2);
+  const auto t3 = tiny_flow(3);  // odd shard count per hand-off
   const auto t8 = tiny_flow(8);
   ASSERT_EQ(t1.strategies.size(), 4u);
   for (std::size_t i = 0; i < t1.strategies.size(); ++i) {
     EXPECT_EQ(t1.strategies[i].w_min, t2.strategies[i].w_min);
+    EXPECT_EQ(t1.strategies[i].w_min, t3.strategies[i].w_min);
     EXPECT_EQ(t1.strategies[i].w_min, t8.strategies[i].w_min);
+    EXPECT_EQ(t1.strategies[i].relaxation, t3.strategies[i].relaxation);
     EXPECT_EQ(t1.strategies[i].relaxation, t8.strategies[i].relaxation);
     EXPECT_EQ(t1.strategies[i].power_penalty, t8.strategies[i].power_penalty);
   }

@@ -29,6 +29,7 @@
 #include "rng/distributions.h"
 #include "rng/engine.h"
 #include "exec/mc_policy.h"
+#include "exec/thread_pool.h"
 #include "yield/monte_carlo.h"
 
 namespace {
@@ -126,6 +127,53 @@ TEST(PfBatch, ExtremeTolerancesAndWideWindowFallback) {
   // fallback; batching must still hold bit-identity via the scalar path.
   expect_batch_matches_scalar(pitch, {2200.0, 30.0, 2500.0, 45.0}, 0.5,
                               1e-12);
+}
+
+/// Exact-bits comparison of the node-sharded single-width kernel at 2-4
+/// threads (3 leaves an odd thread out of the shard hand-off) against the
+/// one-thread run, in all three result fields. Repeated: a reduction that
+/// depends on the schedule shows only in runs where shards finish out of
+/// node order.
+void expect_thread_count_invariant(const PitchModel& pitch, double width,
+                                   double z) {
+  const auto ref = pf_truncated(pitch, width, z, cny::cnt::kPfRelTol, 1);
+  ASSERT_GT(ref.terms, 0);
+  for (unsigned threads : {1u, 2u, 3u, 4u, 2u, 3u, 4u, 4u}) {
+    const auto r = pf_truncated(pitch, width, z, cny::cnt::kPfRelTol, threads);
+    EXPECT_EQ(bits_of(r.value), bits_of(ref.value))
+        << "w=" << width << " threads=" << threads;
+    EXPECT_EQ(r.terms, ref.terms) << "w=" << width << " threads=" << threads;
+    EXPECT_EQ(bits_of(r.remainder_bound), bits_of(ref.remainder_bound))
+        << "w=" << width << " threads=" << threads;
+  }
+}
+
+TEST(PfSharded, BitIdenticalAcrossThreadCountsOnEveryPath) {
+  // CV = 1: integer-shape ladder.
+  expect_thread_count_invariant(PitchModel(4.0, 1.0), 155.0, 0.531);
+  // CV = 0.9: prefactored series / continued fraction.
+  expect_thread_count_invariant(PitchModel(4.0, 0.9), 155.0, 0.531);
+  // CV = 0.3 (θ = 0.36) at W = 240: W/θ ≥ 650, the gamma_q fallback.
+  expect_thread_count_invariant(PitchModel(4.0, 0.3), 240.0, 0.531);
+}
+
+TEST(PfSharded, BitIdenticalWhenCalledFromParallelForBodies) {
+  // Nested inside a parallel loop the kernel's shards run inline on
+  // whichever thread holds the index; the values must not notice.
+  const PitchModel pitch(4.0, 0.9);
+  const std::vector<double> widths = {60.0, 155.0, 230.0, 310.0};
+  std::vector<cny::cnt::PfKernelResult> nested(widths.size());
+  cny::exec::parallel_for(widths.size(), 4, [&](std::size_t i) {
+    nested[i] = pf_truncated(pitch, widths[i], 0.531, cny::cnt::kPfRelTol, 4);
+  });
+  for (std::size_t i = 0; i < widths.size(); ++i) {
+    const auto ref = pf_truncated(pitch, widths[i], 0.531);
+    EXPECT_EQ(bits_of(nested[i].value), bits_of(ref.value)) << widths[i];
+    EXPECT_EQ(nested[i].terms, ref.terms) << widths[i];
+    EXPECT_EQ(bits_of(nested[i].remainder_bound),
+              bits_of(ref.remainder_bound))
+        << widths[i];
+  }
 }
 
 TEST(Dispatch, ReportsConsistentState) {

@@ -206,8 +206,9 @@ int cmd_wmin(const util::Cli& cli) {
   std::printf("W_min = %.2f nm  (p_F* = %.3e, M_min = %llu, %d iterations)\n",
               res.w_min, res.p_f_target,
               static_cast<unsigned long long>(res.m_min), res.iterations);
+  const auto verification = yield::circuit_yield(spectrum, model, res.w_min);
   std::printf("verification: chip yield at W_min = %.4f\n",
-              res.verification.yield_exact);
+              verification.yield_exact);
   return 0;
 }
 

@@ -5,17 +5,16 @@
 //
 //   --mode=looped    the historical evaluation shape: one scalar
 //                    pf_truncated call per width, SIMD dispatch forced off
-//   --mode=batched   (default) the PR's shape: widths evaluated through
-//                    pf_truncated_batch / the batched interpolant build,
-//                    SIMD dispatch on auto
+//   --mode=batched   (default) the library's shape: widths evaluated
+//                    through pf_truncated_batch / the interpolant build,
+//                    SIMD dispatch on auto (node-lane term loop)
 //
 // Recording the same binary in both modes and diffing the JSONs with
 // tools/bench_compare.py measures exactly the batched+SIMD win while
-// holding the benchmark harness constant; CI gates the headline pair
-// (interpolant build, Fig 2.1 sweep) with `--fail-above -50`, i.e. the
-// batched mode must be at least 2x the looped mode on an AVX2 host.
-// Results are bit-identical across modes (tests/test_kernels.cpp), so
-// the diff is pure speed.
+// holding the benchmark harness constant; CI gates the interpolant build,
+// the Fig 2.1 sweep and the single-width solve step (looped/batched ratio
+// floors in .github/workflows/ci.yml). Results are bit-identical across
+// modes (tests/test_kernels.cpp), so the diff is pure speed.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -57,10 +56,10 @@ std::vector<double> eval_widths(const cnt::PitchModel& pitch,
   return out;
 }
 
-// --- headline pair 1: the interpolant build ---------------------------------
+// --- headline 1: the interpolant build --------------------------------------
 // 65 exact kernel evaluations over the solver bracket — the dominant
 // fixed cost of every interpolated flow. The batched mode is the real
-// FailureModel::enable_interpolation path (lane-packed kernel batches);
+// FailureModel::enable_interpolation path (node-lane kernel per knot);
 // the looped mode evaluates the same geometric knot grid one scalar
 // kernel call at a time, which is what the build did before this layer.
 void BM_InterpolantBuild(benchmark::State& state) {
@@ -89,7 +88,7 @@ void BM_InterpolantBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpolantBuild)->Unit(benchmark::kMillisecond);
 
-// --- headline pair 2: the Fig 2.1 sweep grid --------------------------------
+// --- headline 2: the Fig 2.1 sweep grid -------------------------------------
 // The experiment's exact evaluation set: widths 20..180 nm under all three
 // processing conditions (41 widths x 3 corners = 123 kernel evaluations).
 void BM_Fig21Sweep(benchmark::State& state) {
@@ -108,8 +107,8 @@ void BM_Fig21Sweep(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig21Sweep)->Unit(benchmark::kMillisecond);
 
-// One full lane packet at large W — the per-packet win with no partial-lane
-// or dispatch overhead in the picture.
+// Four coherent wide widths — a width-lane packet in the kernel's earlier
+// design, kept as the large-W per-width cost.
 void BM_PfPacketWide(benchmark::State& state) {
   const cnt::PitchModel pitch(4.0, 0.9);
   const std::vector<double> widths = {440.0, 480.0, 520.0, 560.0};
@@ -121,6 +120,19 @@ void BM_PfPacketWide(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PfPacketWide)->Unit(benchmark::kMillisecond);
+
+// --- headline 3: one W_min solve step ---------------------------------------
+// A single exact evaluation at the paper's W_min (158.9 nm, worst-case
+// corner), one thread: what each Brent step of the cold flow pays. The
+// mode only toggles the SIMD dispatch — node lanes vs the scalar loop.
+void BM_PfSingleWidth(benchmark::State& state) {
+  const cnt::PitchModel pitch(4.0, 0.9);
+  const double z = cnt::fig21_worst().p_fail();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cnt::pf_truncated(pitch, 158.9, z).value);
+  }
+}
+BENCHMARK(BM_PfSingleWidth)->Unit(benchmark::kMillisecond);
 
 // --- MC post-draw kernels ---------------------------------------------------
 // Thinning and the sorted-window check run once per simulated device; the

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
-#include "cnt/pf_kernel_internal.h"
 #include "exec/thread_pool.h"
+#include "kernels/dispatch.h"
+#include "kernels/pf_terms_impl.h"
 #include "numeric/integrate.h"
 #include "numeric/special.h"
+#include "obs/metrics.h"
 #include "util/contracts.h"
 
 namespace cny::cnt {
@@ -17,21 +20,49 @@ using cny::numeric::gamma_q;
 
 namespace {
 
+/// Same tail floor as count_distribution.cpp — the two paths must truncate
+/// the quadrature domain and the PMF support identically to agree to 1e-12.
+constexpr double kTailEps = 1e-22;
+
+/// The integer-shape ladder is seeded at τ(0) = e^{-x}; past x ≈ 650 the
+/// seed risks flushing to zero before the recurrence can climb out of the
+/// denormals, so wider windows fall back to the per-node gamma_q path.
+constexpr double kLadderMaxX = 650.0;
+
+/// Everything about one width that does not depend on z or rel_tol: the
+/// node-major quadrature grid, the PMF truncation point, the normalising
+/// mass, and the shape-ladder seeds. Built by `pf_setup`, consumed by the
+/// term loop `pf_terms`.
+struct PfGrid {
+  double k = 0.0;          ///< pitch shape
+  std::vector<double> xs;  ///< per node: x = (W - u)/θ
+  std::vector<double> fw;  ///< per node: GL-weight · f_e(u)
+  double p0 = 0.0;         ///< P{N = 0} quadrature value
+  double mass_tail = 0.0;  ///< quadrature mass of Σ_{n=1}^{n_stop} pₙ
+  double total = 0.0;      ///< p0 + mass_tail (the normaliser)
+  long n_stop = 0;         ///< PMF support truncation point
+  bool prefactored = false;  ///< width/θ < kLadderMaxX: τ ladder usable
+  bool ladder = false;       ///< integer shape: exact Q(a+1)=Q(a)+τ ladder
+  long k_int = 0;            ///< rounded shape (ladder path step count)
+  std::vector<double> tau0;  ///< τ seeds e^{-x} per node (prefactored only)
+  std::vector<double> xk;    ///< x^k per node (non-integer prefactored only)
+  std::size_t inv_len = 0;   ///< reciprocal-table length (non-integer only)
+};
+
 /// P(a,x)/τ = 1 + x/(a+1) + x²/((a+1)(a+2)) + …, with the reciprocals
-/// 1/(a+i) supplied by the per-term table: the shape is shared by every
-/// node of a PMF term, so the serial division chain of the classic series
-/// (NR's gamma_p_series pays one divide per iteration, and the divide
-/// gates the loop-carried dependency) becomes one multiply per iteration.
-/// Used on the x < a+1 side like the textbook split — there q = 1 − τ·sum
-/// stays ≥ ~0.27, so the subtraction costs no relative precision. Returns
-/// the series sum; the caller forms q.
-inline double p_series_sum(double x, double eps,
-                           const std::vector<double>& inv_shape) {
+/// 1/(a+i) supplied by the per-term table inv[1..len): the shape is shared
+/// by every node of a PMF term, so the serial division chain of the
+/// classic series (NR's gamma_p_series pays one divide per iteration, and
+/// the divide gates the loop-carried dependency) becomes one multiply per
+/// iteration. Used on the x < a+1 side like the textbook split — there
+/// q = 1 − τ·sum stays ≥ ~0.27, so the subtraction costs no relative
+/// precision. Returns the series sum; the caller forms q.
+inline double p_series_sum(double x, double eps, const double* inv,
+                           std::size_t len) {
   double del = 1.0;
   double sum = 1.0;
-  const std::size_t len = inv_shape.size();
   for (std::size_t i = 1; i < len; ++i) {
-    del *= x * inv_shape[i];
+    del *= x * inv[i];
     sum += del;
     if (del < sum * eps) break;
   }
@@ -69,15 +100,70 @@ double sum_in_node_order(const std::vector<double>& contrib) {
   return sum;
 }
 
-}  // namespace
+// Per-term node bodies of pf_terms, scalar reference. Each writes only the
+// node-indexed slots of [lo, hi) — the stepped ladder term τ and this
+// term's q — and has an AVX2 node-lane twin of the same signature
+// (kernels/pf_terms_impl.h) that writes the same bits.
 
-namespace detail {
+/// Integer-shape ladder: k_int upward steps of τ from `shape`; dq[j] is
+/// the all-positive sum of the ladder terms, ΔQ for this PMF term.
+void ladder_nodes(const double* xs, double* tau, double* dq, std::size_t lo,
+                  std::size_t hi, long k_int, double shape) {
+  for (std::size_t j = lo; j < hi; ++j) {
+    const double x = xs[j];
+    double t = tau[j];
+    double sum = 0.0;
+    for (long s = 0; s < k_int; ++s) {
+      sum += t;
+      t *= x / (shape + static_cast<double>(s) + 1.0);
+    }
+    tau[j] = t;
+    dq[j] = sum;
+  }
+}
 
+/// Non-integer prefactored step: τ advances a−k → a, then q = Q(a, x) —
+/// the table-backed series for x < a+1, otherwise gamma_q_prefactored's
+/// continued-fraction branch.
+void prefactored_nodes(const double* xs, const double* xk, double* tau,
+                       double* q, std::size_t lo, std::size_t hi, double a,
+                       double rho, double eps, const double* inv,
+                       std::size_t inv_len) {
+  for (std::size_t j = lo; j < hi; ++j) {
+    tau[j] *= xk[j] * rho;
+    const double x = xs[j];
+    q[j] = x < a + 1.0
+               ? 1.0 - tau[j] * p_series_sum(x, eps, inv, inv_len)
+               : numeric::gamma_q_prefactored(a, x, tau[j], eps);
+  }
+}
+
+/// One backend's node bodies. The AVX2 set runs four nodes of the width
+/// per register; both sets write the same bits, so the choice is a pure
+/// speed knob (kernels/dispatch.h).
+struct NodeBodies {
+  decltype(&ladder_nodes) ladder;
+  decltype(&prefactored_nodes) prefactored;
+};
+
+NodeBodies node_bodies([[maybe_unused]] bool simd) {
+#if defined(CNY_SIMD)
+  if (simd) {
+    return {kernels::detail::pf_ladder_nodes_avx2,
+            kernels::detail::pf_prefactored_nodes_avx2};
+  }
+#endif
+  return {ladder_nodes, prefactored_nodes};
+}
+
+/// Builds the grid for one width (> 0); CNY_ENSUREs that the quadrature
+/// mass is 1. Scalar on every backend (its per-node work is transcendental).
+/// The per-node loops shard over `n_threads` with node-order reductions,
+/// so the grid is the same bits at every thread count.
 PfGrid pf_setup(const PitchModel& pitch, double width, unsigned n_threads) {
   PfGrid grid;
-  grid.width = width;
   const double k = grid.k = pitch.shape();
-  const double theta = grid.theta = pitch.scale();
+  const double theta = pitch.scale();
   const double mu = pitch.mean();
 
   grid.p0 = std::max(0.0, 1.0 - pitch.equilibrium_cdf(width));
@@ -166,7 +252,7 @@ PfGrid pf_setup(const PitchModel& pitch, double width, unsigned n_threads) {
   CNY_ENSURE_MSG(std::fabs(grid.total - 1.0) < 1e-6,
                  "count PMF mass deviates from 1: quadrature failure");
 
-  // Shape-stepping machinery (see pf_terms_scalar for how it is consumed).
+  // Shape-stepping machinery (see pf_terms for how it is consumed).
   // Past x ≈ 650 the e^{-x} seed risks flushing to zero before the ladder
   // climbs out of the denormals, so wider windows fall back to plain
   // per-node gamma_q (still node-major + truncated).
@@ -196,8 +282,21 @@ PfGrid pf_setup(const PitchModel& pitch, double width, unsigned n_threads) {
   return grid;
 }
 
-PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol,
-                               unsigned n_threads) {
+/// Exact evaluations per backend (obs::Registry::global()): every term
+/// loop is booked once, under the backend whose node bodies ran it.
+obs::Counter& backend_widths(bool simd) {
+  static auto& simd_widths =
+      obs::Registry::global().counter("kernels.pf_simd_widths");
+  static auto& scalar_widths =
+      obs::Registry::global().counter("kernels.pf_scalar_widths");
+  return simd ? simd_widths : scalar_widths;
+}
+
+/// The term loop over a prebuilt grid, with each term's node loop sharded
+/// over `n_threads` and summed in node order. `pf_truncated` is pf_setup +
+/// pf_terms.
+PfKernelResult pf_terms(const PfGrid& grid, double z, double rel_tol,
+                        unsigned n_threads) {
   const std::size_t n_nodes = grid.xs.size();
   const std::vector<double>& xs = grid.xs;
   const std::vector<double>& fw = grid.fw;
@@ -219,11 +318,17 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol,
   //    exp/log/lgamma prefactor and runs its series/continued fraction at
   //    a tolerance matched to the term's certified contribution budget.
   //
-  // Each term's node loop runs sharded (for_node_chunks): a shard updates
-  // only its nodes' τ / Q slots and writes each node's contribution to
+  // Each term's node loop runs sharded (for_node_chunks): a shard's node
+  // body (scalar, or AVX2 four nodes per register) updates only its nodes'
+  // τ / q slots, the shard then writes each node's contribution to
   // `contrib`, and the term is their node-order sum — so term, cum_mass,
-  // acc, eps and the truncation point are the same bits at any n_threads.
+  // acc, eps and the truncation point are the same bits at any n_threads
+  // and on either backend. The gamma_q fallback is scalar only.
+  const bool simd = grid.prefactored && kernels::simd_active();
+  const NodeBodies body = node_bodies(simd);
+  backend_widths(simd).add(1);
   std::vector<double> q_prev(n_nodes, 0.0);  // Q((n-1)k, x): Q(0,·) := 0
+  std::vector<double> q(n_nodes);            // this term's Q(nk, x) or ΔQ
   std::vector<double> tau = grid.tau0;       // empty on the gamma_q path
   std::vector<double> inv_shape(grid.inv_len);
   std::vector<double> contrib(n_nodes);
@@ -237,12 +342,14 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol,
   long terms = 0;
   double rem_bound = 0.0;
 
-  // Q(a_hi, x) − Q(a_hi − k, x) per node, clipped at 0 (rounding can make
-  // adjacent Q values cross).
-  const auto record_diff = [&](std::size_t j, double q_hi) {
-    const double diff = q_hi - q_prev[j];
-    q_prev[j] = q_hi;
-    contrib[j] = diff > 0.0 ? fw[j] * diff : 0.0;
+  // Q(a_hi, x) − Q(a_hi − k, x) per node of [lo, hi), clipped at 0
+  // (rounding can make adjacent Q values cross).
+  const auto record_diffs = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t j = lo; j < hi; ++j) {
+      const double diff = q[j] - q_prev[j];
+      q_prev[j] = q[j];
+      contrib[j] = diff > 0.0 ? fw[j] * diff : 0.0;
+    }
   };
 
   for (long n = 1; n <= n_stop; ++n) {
@@ -255,17 +362,8 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol,
 
     if (grid.ladder) {
       for_node_chunks(team, n_nodes, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t j = lo; j < hi; ++j) {
-          const double x = xs[j];
-          double t = tau[j];
-          double dq = 0.0;
-          for (long s = 0; s < k_int; ++s) {
-            dq += t;
-            t *= x / (shape + static_cast<double>(s) + 1.0);
-          }
-          tau[j] = t;
-          contrib[j] = fw[j] * dq;
-        }
+        body.ladder(xs.data(), tau.data(), q.data(), lo, hi, k_int, shape);
+        for (std::size_t j = lo; j < hi; ++j) contrib[j] = fw[j] * q[j];
       });
       shape += static_cast<double>(k_int);
     } else {
@@ -285,25 +383,16 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol,
         for (std::size_t i = 1; i < inv_shape.size(); ++i) {
           inv_shape[i] = 1.0 / (a_hi + static_cast<double>(i));
         }
-        for_node_chunks(team, n_nodes, [&](std::size_t lo,
-                                                std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            tau[j] *= grid.xk[j] * rho;
-            const double x = xs[j];
-            // x < a+1 runs the table-backed series; past the split,
-            // gamma_q_prefactored takes its continued-fraction branch.
-            record_diff(j, x < a_hi + 1.0
-                               ? 1.0 - tau[j] * p_series_sum(x, eps, inv_shape)
-                               : numeric::gamma_q_prefactored(a_hi, x, tau[j],
-                                                              eps));
-          }
+        for_node_chunks(team, n_nodes, [&](std::size_t lo, std::size_t hi) {
+          body.prefactored(xs.data(), grid.xk.data(), tau.data(), q.data(),
+                           lo, hi, a_hi, rho, eps, inv_shape.data(),
+                           inv_shape.size());
+          record_diffs(lo, hi);
         });
       } else {
-        for_node_chunks(team, n_nodes, [&](std::size_t lo,
-                                                std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            record_diff(j, gamma_q(a_hi, xs[j]));
-          }
+        for_node_chunks(team, n_nodes, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t j = lo; j < hi; ++j) q[j] = gamma_q(a_hi, xs[j]);
+          record_diffs(lo, hi);
         });
       }
     }
@@ -321,7 +410,7 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol,
   return {acc / grid.total, terms, rem_bound / grid.total};
 }
 
-}  // namespace detail
+}  // namespace
 
 PfKernelResult pf_truncated(const PitchModel& pitch, double width, double z,
                             double rel_tol, unsigned n_threads) {
@@ -331,8 +420,7 @@ PfKernelResult pf_truncated(const PitchModel& pitch, double width, double z,
   if (width == 0.0) return {1.0, 0, 0.0};  // N ≡ 0, G ≡ 1
   if (z == 1.0) return {1.0, 0, 0.0};      // G(1) = total mass / total mass
 
-  const detail::PfGrid grid = detail::pf_setup(pitch, width, n_threads);
-  return detail::pf_terms_scalar(grid, z, rel_tol, n_threads);
+  return pf_terms(pf_setup(pitch, width, n_threads), z, rel_tol, n_threads);
 }
 
 }  // namespace cny::cnt

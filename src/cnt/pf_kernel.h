@@ -27,6 +27,13 @@
 //     re-seeded per node with one upper incomplete gamma (still 3x fewer
 //     gamma evaluations per term than the full path, which recomputes
 //     f_e, Q(nk,·) and Q((n−1)k,·) at every node of every term).
+//
+//  3. **Node shards and node lanes.** Each per-term node loop runs in
+//     fixed node shards across threads, and inside a shard the node body
+//     runs four nodes per AVX2 register when the SIMD backend is active
+//     (kernels/dispatch.h, kernels/pf_terms_impl.h). Both only write
+//     per-node slots; every cross-node sum is formed serially in node
+//     order, so neither the thread count nor the backend moves a bit.
 #pragma once
 
 #include "cnt/pitch_model.h"
@@ -53,9 +60,10 @@ struct PfKernelResult {
 ///
 /// The per-node loops run in fixed node shards on up to `n_threads`
 /// threads of the shared exec pool (0 = hardware concurrency; 1 runs the
-/// same shards inline). Cross-node sums are formed serially in node order
-/// after each sharded loop, so every field of the result is bit-identical
-/// for every thread count.
+/// same shards inline), each shard on the AVX2 node lanes when
+/// kernels::simd_active(). Cross-node sums are formed serially in node
+/// order after each sharded loop, so every field of the result is
+/// bit-identical for every thread count and SIMD mode.
 [[nodiscard]] PfKernelResult pf_truncated(const PitchModel& pitch,
                                           double width, double z,
                                           double rel_tol = kPfRelTol,

@@ -171,18 +171,10 @@ void FailureModel::enable_interpolation(double w_lo, double w_hi,
                                        static_cast<double>(knots - 1));
   }
   xs.back() = w_hi;  // guard against pow() rounding shrinking the range
-  // All knots go through the batched kernel: lane-packed chunks share the
-  // per-term Γ-ratio/table work across four widths at a time, and the
-  // chunks shard across threads. Chunks of two packets keep every thread's
-  // unit of work wide enough to pack full lanes.
-  constexpr std::size_t kChunk = 8;
-  const std::size_t n_chunks = (knots + kChunk - 1) / kChunk;
-  exec::parallel_for(n_chunks, n_threads, [&](std::size_t c) {
-    const std::size_t lo = c * kChunk;
-    const std::size_t len = std::min(kChunk, knots - lo);
-    const auto vals =
-        p_f_exact_batch(std::span<const double>(xs).subspan(lo, len));
-    for (std::size_t j = 0; j < len; ++j) ys[lo + j] = std::log(vals[j]);
+  // One exact evaluation per knot, knots spread across threads (each
+  // kernel call runs its node lanes on the thread that claims the knot).
+  exec::parallel_for(knots, n_threads, [&](std::size_t i) {
+    ys[i] = std::log(p_f_exact(xs[i]));
   });
   auto built = std::make_shared<const LogPfInterp>(
       LogPfInterp{w_lo, w_hi, numeric::MonotoneCubic(std::move(xs), std::move(ys))});

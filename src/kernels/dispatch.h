@@ -1,9 +1,11 @@
 // Kernel-backend dispatch seam.
 //
-// The hot kernels (batched p_F evaluation, MC thinning, window checks) have
-// one scalar reference implementation and, when the tree is built with
-// -DCNY_SIMD=ON, an AVX2 implementation selected at runtime. Selection
-// rules, in order:
+// The hot kernels (the node bodies of the exact p_F term loop, MC
+// thinning, window checks) have one scalar reference implementation and,
+// when the tree is built with -DCNY_SIMD=ON, an AVX2 implementation
+// selected at runtime — for p_F once per cnt::pf_truncated call, which
+// then runs four quadrature nodes per register. Selection rules, in
+// order:
 //
 //   1. `CNY_SIMD=OFF` at configure time — the AVX2 objects are not even
 //      compiled; every query reports the scalar backend.

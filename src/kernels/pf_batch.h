@@ -1,25 +1,25 @@
 // Batch-of-widths p_F evaluation.
 //
-// Every heavy consumer of `cnt::pf_truncated` — the interpolant builder,
-// the W_min solver's bracket queries, circuit_yield's merged spectrum, the
-// server's coalesced groups — asks for *many widths against one pitch model
-// and one z*. `pf_truncated_batch` evaluates them in one pass: the widths
-// are packed four to an AVX2 register (one lane per width) and the PMF term
-// loop runs lane-parallel, sharing the per-term Γ-ratio, lgamma and
-// reciprocal-table work that the scalar loop re-derives per width.
+// Several consumers of `cnt::pf_truncated` — the interpolant builder,
+// circuit_yield's merged spectrum, the server's coalesced groups — ask for
+// *many widths against one pitch model and one z*. `pf_truncated_batch`
+// is their entry point: a plain per-width loop over `cnt::pf_truncated`,
+// whose term loop already runs four quadrature nodes per AVX2 register
+// when the SIMD backend is active (kernels/pf_terms_impl.h). Vectorising
+// across nodes rather than widths serves a single width — every Brent
+// step of the W_min solver — as well as a batch, so there is one term
+// loop for every caller.
 //
-// Bit-identity contract (pinned in tests/test_kernels.cpp): for every
-// backend and every batch composition,
+// Contract (pinned in tests/test_kernels.cpp): for every backend and
+// every batch composition,
 //
 //   pf_truncated_batch(pitch, widths, z, tol)[i]
 //     == pf_truncated(pitch, widths[i], z, tol)      (all three fields,
 //                                                     exact bits)
 //
-// so batching — like the SIMD mode and the thread count — is purely a
-// speed knob. Lanes run each width's exact scalar op sequence (elementwise
-// IEEE add/mul/div only; transcendentals stay scalar libm), and the kernel
-// translation units are built with contraction disabled so no FMA can
-// merge what the scalar kernel keeps separate.
+// and pf_truncated itself is bit-identical across backends and thread
+// counts, so batching, the SIMD mode and the thread count are all purely
+// speed knobs.
 #pragma once
 
 #include <span>
@@ -32,9 +32,8 @@ namespace cny::kernels {
 
 /// Evaluates E[z^N(W)] for every width in `widths` (each >= 0, z in [0,1])
 /// against one pitch model. Result i corresponds to widths[i] and is
-/// bit-identical to cnt::pf_truncated(pitch, widths[i], z, rel_tol).
-/// Backend selection follows dispatch.h; widths on the wide-window
-/// gamma_q fallback path (W/θ >= 650) always take the scalar reference.
+/// bit-identical to cnt::pf_truncated(pitch, widths[i], z, rel_tol), which
+/// it calls (one thread per width).
 [[nodiscard]] std::vector<cnt::PfKernelResult> pf_truncated_batch(
     const cnt::PitchModel& pitch, std::span<const double> widths, double z,
     double rel_tol = cnt::kPfRelTol);

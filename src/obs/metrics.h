@@ -150,7 +150,7 @@ class Registry {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Process-wide registry for subsystems without a natural owner
-  /// (exec.* pool gauges, kernels.* lane counters). Never destroyed, so
+  /// (exec.* pool gauges, kernels.* backend counters). Never destroyed, so
   /// worker threads may touch metrics during static teardown.
   [[nodiscard]] static Registry& global();
 

@@ -18,13 +18,13 @@ double invert_p_f(const device::FailureModel& model, double p_f_target,
     return std::log(model.p_f(w, n_threads));
   };
   const double target = std::log(p_f_target);
-  // Both bracket endpoints in one batched query: on a cold model (no
-  // interpolant, empty memo) the two kernel evaluations share one pass.
-  // Refinement queries below are inherently serial (Brent picks each
-  // abscissa from the previous result): they hit the memo/interpolant, or
-  // run the exact kernel with its node loops sharded over n_threads.
-  const std::array<double, 2> bracket = {w_lo, w_hi};
-  const auto bracket_pf = model.p_f_batch(bracket);
+  // Every query is one width: the two bracket endpoints, then each Brent
+  // abscissa (picked from the previous result). Each query hits the
+  // memo/interpolant or runs the exact kernel, its node loops sharded over
+  // n_threads and vectorised four nodes per register within each shard;
+  // the bracket is two such calls, not a batch.
+  const std::array<double, 2> bracket_pf = {model.p_f(w_lo, n_threads),
+                                            model.p_f(w_hi, n_threads)};
   CNY_EXPECT_MSG(std::log(bracket_pf[0]) >= target,
                  "W bracket too high: p_F(w_lo) below target");
   CNY_EXPECT_MSG(std::log(bracket_pf[1]) <= target,

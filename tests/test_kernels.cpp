@@ -1,13 +1,14 @@
-// Pins for the kernel-backend layer (src/kernels/): the batched p_F
-// evaluator and the MC post-draw kernels must be *bit-identical* to their
-// scalar references on every backend, and the dispatch seam must honour
-// forced-scalar mode. These tests are the contract that makes --simd and
-// batching pure speed knobs.
+// Pins for the kernel-backend layer (src/kernels/): the node-lane p_F term
+// loop, the batch entry point and the MC post-draw kernels must be
+// *bit-identical* to their scalar references on every backend, and the
+// dispatch seam must honour forced-scalar mode. These tests are the
+// contract that makes --simd and batching pure speed knobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -24,6 +25,8 @@
 #include "kernels/dispatch.h"
 #include "kernels/mc_kernels.h"
 #include "kernels/pf_batch.h"
+#include "kernels/pf_terms_impl.h"
+#include "numeric/special.h"
 #include "obs/metrics.h"
 #include "kernels/rng_x4.h"
 #include "rng/distributions.h"
@@ -39,14 +42,29 @@ using cny::cnt::PitchModel;
 using cny::kernels::pf_truncated_batch;
 using cny::kernels::SimdMode;
 
-/// Restores the process-wide SIMD mode on scope exit — tests mutate it.
+/// Sets the process-wide SIMD mode, restoring the previous one on scope
+/// exit — tests mutate it, and guards nest.
 class ModeGuard {
  public:
-  explicit ModeGuard(SimdMode mode) { cny::kernels::set_simd_mode(mode); }
-  ~ModeGuard() { cny::kernels::set_simd_mode(SimdMode::Auto); }
+  explicit ModeGuard(SimdMode mode) : prev_(cny::kernels::simd_mode()) {
+    cny::kernels::set_simd_mode(mode);
+  }
+  ~ModeGuard() { cny::kernels::set_simd_mode(prev_); }
+
+ private:
+  SimdMode prev_;
 };
 
 std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The scalar reference: pf_truncated with the SIMD backend forced off.
+cny::cnt::PfKernelResult pf_scalar_reference(const PitchModel& pitch,
+                                             double width, double z,
+                                             double rel_tol,
+                                             unsigned n_threads = 1) {
+  ModeGuard guard(SimdMode::Off);
+  return pf_truncated(pitch, width, z, rel_tol, n_threads);
+}
 
 /// Exact-bits comparison of a batch against per-width scalar calls.
 void expect_batch_matches_scalar(const PitchModel& pitch,
@@ -55,24 +73,24 @@ void expect_batch_matches_scalar(const PitchModel& pitch,
   const auto batch = pf_truncated_batch(pitch, widths, z, rel_tol);
   ASSERT_EQ(batch.size(), widths.size());
   for (std::size_t i = 0; i < widths.size(); ++i) {
-    const auto ref = pf_truncated(pitch, widths[i], z, rel_tol);
+    const auto ref = pf_scalar_reference(pitch, widths[i], z, rel_tol);
     EXPECT_EQ(bits_of(batch[i].value), bits_of(ref.value))
-        << "value lane " << i << " w=" << widths[i] << " z=" << z
+        << "value #" << i << " w=" << widths[i] << " z=" << z
         << " backend=" << cny::kernels::backend_name();
     EXPECT_EQ(batch[i].terms, ref.terms)
-        << "terms lane " << i << " w=" << widths[i] << " z=" << z;
+        << "terms #" << i << " w=" << widths[i] << " z=" << z;
     EXPECT_EQ(bits_of(batch[i].remainder_bound), bits_of(ref.remainder_bound))
-        << "remainder lane " << i << " w=" << widths[i] << " z=" << z;
+        << "remainder #" << i << " w=" << widths[i] << " z=" << z;
   }
 }
 
-// The width sets exercise every packing shape: full 4-lanes, partial
-// flushes, sub-mean-pitch widths, zero-width specials mid-batch, and a
-// spread wide enough to give lanes very different truncation points.
+// Batch compositions: sub-mean-pitch widths, zero-width specials
+// mid-batch, single widths, and a spread wide enough to give widths very
+// different truncation points.
 const std::vector<std::vector<double>> kWidthSets = {
-    {20.0, 36.0, 52.0, 68.0},                    // one full packet
-    {8.0, 155.0},                                // 2-lane flush, far apart
-    {33.0},                                      // single width → scalar
+    {20.0, 36.0, 52.0, 68.0},                    // four coherent widths
+    {8.0, 155.0},                                // two, far apart
+    {33.0},                                      // single width
     {1.5, 2.0, 3.9, 40.0, 80.0, 120.0, 500.0},   // sub-pitch + big spread
     {0.0, 25.0, 0.0, 30.0, 35.0, 40.0, 45.0},    // specials interleaved
 };
@@ -128,6 +146,124 @@ TEST(PfBatch, ExtremeTolerancesAndWideWindowFallback) {
   expect_batch_matches_scalar(pitch, {2200.0, 30.0, 2500.0, 45.0}, 0.5,
                               1e-12);
 }
+
+TEST(PfNodeLanes, BitIdenticalToScalarReference) {
+  // Single widths, node lanes (Auto) against the scalar reference (Off),
+  // at one and three threads: the integer-shape ladder (CV 1 and 1/√2)
+  // and the prefactored series + continued fraction (CV 0.6/0.9/1.2),
+  // loose to tight tolerances. Every prefactored width past its first
+  // term straddles the x < a+1 split: the split sweeps through the node
+  // range as the shape a = n·k grows, and node order alternates between
+  // the two halves of each panel, so 4-node packets mix both branches.
+  // Node counts are always multiples of 32 (16-point panels, interior
+  // nodes), so ragged packets are pinned by the direct test below.
+  std::vector<double> widths;
+  for (const auto& set : kWidthSets) {
+    widths.insert(widths.end(), set.begin(), set.end());
+  }
+  std::sort(widths.begin(), widths.end());
+  widths.erase(std::unique(widths.begin(), widths.end()), widths.end());
+  for (double cv : {0.6, 0.7071067811865476, 0.9, 1.0, 1.2}) {
+    const PitchModel pitch(4.0, cv);
+    for (double w : widths) {
+      for (double z : {0.0, 0.2, 0.531, 0.9}) {
+        for (double rel_tol : {1e-4, 1e-14, 1e-15}) {
+          for (unsigned threads : {1u, 3u}) {
+            const auto got = pf_truncated(pitch, w, z, rel_tol, threads);
+            const auto ref = pf_scalar_reference(pitch, w, z, rel_tol,
+                                                 threads);
+            EXPECT_EQ(bits_of(got.value), bits_of(ref.value))
+                << "cv=" << cv << " w=" << w << " z=" << z
+                << " tol=" << rel_tol << " threads=" << threads;
+            EXPECT_EQ(got.terms, ref.terms)
+                << "cv=" << cv << " w=" << w << " z=" << z;
+            EXPECT_EQ(bits_of(got.remainder_bound),
+                      bits_of(ref.remainder_bound))
+                << "cv=" << cv << " w=" << w << " z=" << z;
+          }
+        }
+      }
+    }
+  }
+}
+
+#if defined(CNY_SIMD)
+TEST(PfNodeLanes, RaggedNodeRangesMatchScalarBodies) {
+  // pf_truncated only hands the node bodies whole 4-node packets, but the
+  // bodies take any [lo, hi): a ragged tail is padded (ladder) or pooled
+  // by branch (prefactored). Pin those paths against a scalar replay of
+  // the reference bodies in cnt/pf_kernel.cpp, over ranges whose packet
+  // boundaries all differ.
+  if (!cny::kernels::simd_supported()) GTEST_SKIP() << "host lacks AVX2";
+  namespace kd = cny::kernels::detail;
+  constexpr std::size_t kNodes = 23;
+  const double k = PitchModel(4.0, 0.9).shape();
+  const double a = 7.0 * k;  // series below x = a + 1 ≈ 9.6, CF above
+  const double rho = 0.0123;
+  const double eps = 1e-13;
+  const long k_int = 2;
+  const double shape = 5.0;
+  std::vector<double> xs(kNodes), xk(kNodes), tau0(kNodes), inv(120);
+  for (std::size_t j = 0; j < kNodes; ++j) {
+    // x in [2, 17.4], the two branches interleaved in node order.
+    xs[j] = 2.0 + 0.7 * static_cast<double>((j * 7) % kNodes);
+    xk[j] = std::pow(xs[j], k);
+    tau0[j] = std::exp(-xs[j]);
+  }
+  for (std::size_t i = 1; i < inv.size(); ++i) {
+    inv[i] = 1.0 / (a + static_cast<double>(i));
+  }
+  std::vector<double> tau_ref(kNodes), q_ref(kNodes), t_ref(kNodes),
+      dq_ref(kNodes);
+  for (std::size_t j = 0; j < kNodes; ++j) {
+    const double x = xs[j];
+    tau_ref[j] = tau0[j] * (xk[j] * rho);
+    if (x < a + 1.0) {
+      double del = 1.0;
+      double sum = 1.0;
+      for (std::size_t i = 1; i < inv.size(); ++i) {
+        del *= x * inv[i];
+        sum += del;
+        if (del < sum * eps) break;
+      }
+      q_ref[j] = 1.0 - tau_ref[j] * sum;
+    } else {
+      q_ref[j] = cny::numeric::gamma_q_prefactored(a, x, tau_ref[j], eps);
+    }
+    double t = tau0[j];
+    double sum = 0.0;
+    for (long s = 0; s < k_int; ++s) {
+      sum += t;
+      t *= x / (shape + static_cast<double>(s) + 1.0);
+    }
+    t_ref[j] = t;
+    dq_ref[j] = sum;
+  }
+
+  const std::size_t ranges[][2] = {{0, 23}, {1, 22}, {3, 20}, {5, 6},
+                                   {0, 4},  {2, 9},  {21, 23}};
+  for (const auto& [lo, hi] : ranges) {
+    std::vector<double> tau = tau0, q(kNodes, -1.0);
+    kd::pf_prefactored_nodes_avx2(xs.data(), xk.data(), tau.data(), q.data(),
+                                  lo, hi, a, rho, eps, inv.data(),
+                                  inv.size());
+    std::vector<double> t = tau0, dq(kNodes, -1.0);
+    kd::pf_ladder_nodes_avx2(xs.data(), t.data(), dq.data(), lo, hi, k_int,
+                             shape);
+    for (std::size_t j = 0; j < kNodes; ++j) {
+      const bool in = j >= lo && j < hi;
+      EXPECT_EQ(bits_of(tau[j]), bits_of(in ? tau_ref[j] : tau0[j]))
+          << "[" << lo << "," << hi << ") node " << j;
+      EXPECT_EQ(bits_of(q[j]), bits_of(in ? q_ref[j] : -1.0))
+          << "[" << lo << "," << hi << ") node " << j;
+      EXPECT_EQ(bits_of(t[j]), bits_of(in ? t_ref[j] : tau0[j]))
+          << "[" << lo << "," << hi << ") node " << j;
+      EXPECT_EQ(bits_of(dq[j]), bits_of(in ? dq_ref[j] : -1.0))
+          << "[" << lo << "," << hi << ") node " << j;
+    }
+  }
+}
+#endif
 
 /// Exact-bits comparison of the node-sharded single-width kernel at 2-4
 /// threads (3 leaves an odd thread out of the shard hand-off) against the
@@ -359,10 +495,33 @@ TEST(Kernels, RunFlowResponseByteIdenticalAcrossSimdModes) {
   EXPECT_EQ(encoded[0], encoded[1]);
 }
 
-// Lane-occupancy accounting must balance: every non-degenerate width in a
-// batch is counted exactly once, as either a SIMD lane or a scalar width —
-// on *both* backends (the scalar build books everything scalar).
-TEST(Kernels, LaneOccupancyCountersBalanceOnEveryBackend) {
+TEST(Kernels, ExactRunFlowResponseByteIdenticalAcrossSimdModes) {
+  // The `cntyield_cli flow` shape: no interpolant, so every W_min solve
+  // step runs the exact kernel on a single width (node lanes under Auto).
+  const auto lib = cny::celllib::make_nangate45_like();
+  const auto design = cny::netlist::make_openrisc_like(lib);
+  cny::yield::FlowParams params;
+  params.mc_samples = 400;
+  params.seed = 7;
+  params.n_threads = 2;
+  params.use_interpolant = false;
+
+  std::vector<std::string> encoded;
+  for (SimdMode mode : {SimdMode::Auto, SimdMode::Off}) {
+    ModeGuard guard(mode);
+    const cny::device::FailureModel model(PitchModel(4.0, 0.9),
+                                          cny::cnt::fig21_mid());
+    encoded.push_back(cny::service::encode_flow_response(
+        cny::yield::run_flow(lib, design, model, params)));
+  }
+  EXPECT_EQ(encoded[0], encoded[1]);
+}
+
+// Backend accounting must balance: every exact single-width term loop is
+// booked once, as either a SIMD or a scalar width — on *both* backends
+// (forced-scalar books everything scalar). The batch entry point books
+// its call and widths on top.
+TEST(Kernels, BackendWidthCountersBalanceOnEveryBackend) {
   auto& registry = cny::obs::Registry::global();
   const PitchModel pitch(4.0, 0.9);
   const std::vector<double> widths{20.0, 36.0, 52.0, 68.0, 84.0,
@@ -379,7 +538,7 @@ TEST(Kernels, LaneOccupancyCountersBalanceOnEveryBackend) {
     };
     const std::uint64_t calls0 = counter("kernels.pf_batch_calls");
     const std::uint64_t widths0 = counter("kernels.pf_batch_widths");
-    const std::uint64_t lanes0 = counter("kernels.pf_simd_lanes");
+    const std::uint64_t simd0 = counter("kernels.pf_simd_widths");
     const std::uint64_t scalar0 = counter("kernels.pf_scalar_widths");
 
     (void)pf_truncated_batch(pitch, widths, 0.531, 1e-12);
@@ -387,14 +546,16 @@ TEST(Kernels, LaneOccupancyCountersBalanceOnEveryBackend) {
     EXPECT_EQ(registry.counter("kernels.pf_batch_calls").value(), calls0 + 1);
     EXPECT_EQ(registry.counter("kernels.pf_batch_widths").value(),
               widths0 + widths.size());
-    const std::uint64_t lanes =
-        registry.counter("kernels.pf_simd_lanes").value() - lanes0;
+    const std::uint64_t simd =
+        registry.counter("kernels.pf_simd_widths").value() - simd0;
     const std::uint64_t scalar =
         registry.counter("kernels.pf_scalar_widths").value() - scalar0;
-    EXPECT_EQ(lanes + scalar, widths.size())
+    EXPECT_EQ(simd + scalar, widths.size())
         << "backend=" << cny::kernels::backend_name();
-    if (mode == SimdMode::Off) {
-      EXPECT_EQ(lanes, 0u) << "forced-scalar must book no SIMD lanes";
+    if (cny::kernels::simd_active()) {
+      EXPECT_EQ(simd, widths.size()) << "prefactored widths ride node lanes";
+    } else {
+      EXPECT_EQ(simd, 0u) << "forced-scalar must book no SIMD widths";
     }
   }
 }

@@ -1,5 +1,5 @@
 // Yield-service benchmarks over the loopback transport — the full protocol
-// path (frame, decode, validate, coalesce, run_flow_batch, encode) with no
+// path (frame, decode, validate, coalesce, evaluate, encode) with no
 // socket, so the numbers isolate the serving layer itself.
 //
 // The headline pair is an 8-client burst:
@@ -7,7 +7,7 @@
 //     paying its own dispatch cycle (what 8 *uncoordinated* processes
 //     running their own flows would look like, minus warm-up);
 //   BM_ServiceCoalescedBurst    — the same 8 requests submitted together,
-//     coalesced by the server into run_flow_batch calls on the shared warm
+//     coalesced by the server into group evaluations on the shared warm
 //     model. Must be at least as fast (the CI bench-smoke job asserts it).
 //
 // BM_ServiceSessionWarmup prices what the session cache amortises: the

@@ -14,24 +14,15 @@
 #include <thread>
 #include <utility>
 
-#include "exec/thread_pool.h"
-#include "netlist/design.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
+#include "service/evaluate.h"
 #include "service/server.h"
 #include "service/session_cache.h"
-#include "yield/flow.h"
 
 namespace cny::campaign {
 
 namespace {
-
-/// One pending point's outcome, chunk-local until the in-order append.
-struct Outcome {
-  std::string result_json;
-  std::string error_code;
-  std::string error_message;
-};
 
 /// Progress sidecar writer: one self-contained JSON line per finished
 /// chunk, flushed immediately so `tail -f` (or a dashboard) sees each
@@ -86,56 +77,12 @@ class ProgressSidecar {
   std::FILE* file_ = nullptr;
 };
 
-/// The server's evaluate_group without the sockets: one warm session per
-/// group, job-indexed slots, per-job error capture.
-void evaluate_group_direct(const std::vector<const CompiledPoint*>& chunk,
-                           const std::vector<std::size_t>& indices,
-                           std::vector<Outcome>& outcomes,
-                           service::SessionCache& cache,
-                           unsigned n_threads) {
-  std::shared_ptr<const service::Session> session;
-  try {
-    session =
-        cache.acquire(service::session_key(chunk[indices.front()]->request));
-  } catch (const std::exception& e) {
-    for (const std::size_t index : indices) {
-      outcomes[index] = {"", "internal_error", e.what()};
-    }
-    return;
-  }
-  std::vector<std::shared_ptr<const netlist::Design>> designs(indices.size());
-  std::vector<unsigned char> failed(indices.size(), 0);
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    try {
-      designs[i] =
-          session->design(chunk[indices[i]]->request.design_instances);
-    } catch (const std::exception& e) {
-      outcomes[indices[i]] = {"", "internal_error", e.what()};
-      failed[i] = 1;
-    }
-  }
-  exec::parallel_for(indices.size(), n_threads, [&](std::size_t i) {
-    if (failed[i]) return;
-    yield::FlowParams params = chunk[indices[i]]->request.params;
-    params.n_threads = n_threads;
-    try {
-      const yield::FlowResult result = yield::run_flow(
-          session->library(), *designs[i], session->model(), params);
-      outcomes[indices[i]] = {service::to_json(result).dump(), "", ""};
-    } catch (const std::exception& e) {
-      // Same code the service wire path uses, so direct and via-service
-      // stores stay byte-identical even on infeasible points.
-      outcomes[indices[i]] = {"", "evaluation_failed", e.what()};
-    }
-  });
-}
-
 /// Classifies one response for the via-service path. A terminal outcome
 /// fills `out` and returns true; a transient one (retry-safe: transient
 /// error code, or a dropped/undecodable/corrupt response) fills `code` /
 /// `message` and returns false — it must never reach the store.
-bool classify_response(std::string bytes, Outcome& out, std::string& code,
-                       std::string& message) {
+bool classify_response(std::string bytes, service::RequestOutcome& out,
+                       std::string& code, std::string& message) {
   if (bytes.empty()) {
     // The fault harness models a dropped connection as an empty response.
     code = "transport";
@@ -173,7 +120,7 @@ bool classify_response(std::string bytes, Outcome& out, std::string& code,
 }
 
 void evaluate_chunk_service(const std::vector<const CompiledPoint*>& chunk,
-                            std::vector<Outcome>& outcomes,
+                            std::vector<service::RequestOutcome>& outcomes,
                             service::YieldServer& server,
                             const service::RetryPolicy& retry,
                             std::uint64_t& retry_rounds, obs::Log* log) {
@@ -311,7 +258,7 @@ CampaignStats run_campaign(const std::vector<CompiledPoint>& points,
     const std::vector<const CompiledPoint*> chunk(
         pending.begin() + static_cast<std::ptrdiff_t>(done),
         pending.begin() + static_cast<std::ptrdiff_t>(done + n));
-    std::vector<Outcome> outcomes(chunk.size());
+    std::vector<service::RequestOutcome> outcomes(chunk.size());
     obs::Span chunk_span(options.trace_sink.get(), "campaign.chunk",
                          "campaign");
     chunk_span.arg("chunk", std::to_string(chunk_index));
@@ -328,8 +275,17 @@ CampaignStats run_campaign(const std::vector<CompiledPoint>& points,
             .push_back(i);
       }
       for (const auto& [canonical, indices] : groups) {
-        evaluate_group_direct(chunk, indices, outcomes, *cache,
-                              options.n_threads);
+        std::vector<const service::FlowRequest*> requests;
+        requests.reserve(indices.size());
+        for (const std::size_t index : indices) {
+          requests.push_back(&chunk[index]->request);
+        }
+        std::vector<service::RequestOutcome> group = service::evaluate_group(
+            *cache, requests, options.n_threads,
+            {.trace = options.trace_sink.get()});
+        for (std::size_t k = 0; k < indices.size(); ++k) {
+          outcomes[indices[k]] = std::move(group[k]);
+        }
       }
     }
     // Checkpoint: append this chunk's records in campaign order. Only

@@ -1,9 +1,9 @@
 // Batch-of-widths p_F evaluation.
 //
-// Several consumers of `cnt::pf_truncated` — the interpolant builder,
-// circuit_yield's merged spectrum, the server's coalesced groups — ask for
-// *many widths against one pitch model and one z*. `pf_truncated_batch`
-// is their entry point: a plain per-width loop over `cnt::pf_truncated`,
+// `FailureModel::p_f_exact_batch` (the exact half of `p_f_batch`, which
+// circuit_yield's merged spectrum calls) asks for *many widths against one
+// pitch model and one z*. `pf_truncated_batch` is its entry point: a plain
+// per-width loop over `cnt::pf_truncated`,
 // whose term loop already runs four quadrature nodes per AVX2 register
 // when the SIMD backend is active (kernels/pf_terms_impl.h). Vectorising
 // across nodes rather than widths serves a single width — every Brent

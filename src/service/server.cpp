@@ -26,8 +26,8 @@
 #include "obs/openmetrics.h"
 #include "obs/resource.h"
 #include "obs/snapshot.h"
+#include "service/evaluate.h"
 #include "util/contracts.h"
-#include "yield/flow.h"
 
 namespace cny::service {
 
@@ -40,13 +40,6 @@ std::future<std::string> ready_future(std::string frame) {
   std::promise<std::string> promise;
   promise.set_value(std::move(frame));
   return promise.get_future();
-}
-
-std::uint64_t us_since(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
 }
 
 }  // namespace
@@ -76,12 +69,10 @@ struct YieldServer::Impl {
   obs::Counter& c_overload_rejects = registry.counter("overload_rejects");
   obs::Counter& c_deadline_sheds = registry.counter("deadline_sheds");
   obs::Counter& c_faults_injected = registry.counter("faults_injected");
-  obs::Counter& c_merged_kernel_hits = registry.counter("merged_kernel_hits");
   obs::Gauge& g_queue_depth = registry.gauge("queue_depth");
   obs::Histogram& h_queue_wait = registry.histogram("queue_wait_us");
   obs::Histogram& h_evaluate = registry.histogram("evaluate_us");
   obs::Histogram& h_serialize = registry.histogram("serialize_us");
-  obs::Histogram& h_kernel_batch = registry.histogram("kernel_batch_us");
 
   SessionCache cache;
 
@@ -145,7 +136,6 @@ struct YieldServer::Impl {
     out.overload_rejects = c_overload_rejects.value();
     out.deadline_sheds = c_deadline_sheds.value();
     out.faults_injected = c_faults_injected.value();
-    out.merged_kernel_hits = c_merged_kernel_hits.value();
     return out;
   }
 
@@ -250,12 +240,9 @@ struct YieldServer::Impl {
   }
 
   /// Evaluates the requests at `indices` (which must share one session
-  /// key) as one coalesced batch on the group's warm session model. The
-  /// session model already carries the full-bracket interpolant, so every
-  /// job — batched or solo — reads the *same* table and responses stay
-  /// batching-invariant (a per-batch table would break that). Failures are
-  /// per job: an infeasible scenario gets its own error frame while the
-  /// rest of the group keeps its results.
+  /// key) as one coalesced group through the evaluation core
+  /// (evaluate.h), after shedding what is already past its deadline, and
+  /// publishes one frame per request.
   void evaluate_group(std::vector<Pending>& batch,
                       const std::vector<std::size_t>& all_indices) {
     // Deadline shed, *before* any session or evaluation work: a request
@@ -302,120 +289,30 @@ struct YieldServer::Impl {
       }
     }
     if (indices.empty()) return;
-    std::shared_ptr<const Session> session;
-    try {
-      session = cache.acquire(session_key(batch[indices.front()].request));
-    } catch (const std::exception& e) {
-      for (const std::size_t index : indices) {
-        c_errors.add(1);
-        batch[index].promise.set_value(
-            encode_error("internal_error", e.what()));
-      }
-      return;
+    std::vector<const FlowRequest*> requests;
+    requests.reserve(indices.size());
+    for (const std::size_t index : indices) {
+      requests.push_back(&batch[index].request);
     }
-    // Shared design handles pin every job's design for the duration of
-    // the batch, across the session's own design-cache eviction.
-    std::vector<std::shared_ptr<const netlist::Design>> designs(
-        indices.size());
-    std::vector<std::string> frames(indices.size());
-    // Bytes, not vector<bool>: workers flag distinct indices concurrently.
-    std::vector<unsigned char> failed(indices.size(), 0);
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      const FlowRequest& request = batch[indices[i]].request;
-      try {
-        designs[i] = session->design(request.design_instances);
-      } catch (const std::exception& e) {
-        frames[i] = encode_error("internal_error", e.what());
-        failed[i] = 1;
-      }
-    }
-    // Merged-kernel pre-pass. Jobs in one group share a session key
-    // (library + pitch + corner), so any exact-path p_F width two jobs
-    // both need would otherwise be computed twice — once per job, since
-    // each run_flow only queries as it goes. The widths a job will ask
-    // for exactly are knowable up front: its design's width spectrum,
-    // minus whatever the session interpolant already covers (solver
-    // bracket queries all land inside the table). Deduplicate the union
-    // across the group and evaluate it in ONE batched kernel pass; the
-    // results land in the session model's memo, which is what the jobs
-    // read. Bit-identical by the kernels contract, so responses do not
-    // depend on whether the pre-pass ran. Scenario jobs that derive a
-    // different process corner rebuild their model inside run_flow and
-    // are skipped here (their widths would warm the wrong memo).
-    if (indices.size() >= 2) {
-      std::vector<double> widths;
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        if (failed[i]) continue;
-        const FlowRequest& request = batch[indices[i]].request;
-        if (request.params.scenario.removal) continue;
-        for (const auto& [w, n] : designs[i]->width_spectrum()) {
-          if (!session->model().interpolation_covers(w)) {
-            widths.push_back(w);
-          }
-        }
-      }
-      const std::size_t requested = widths.size();
-      std::sort(widths.begin(), widths.end());
-      widths.erase(std::unique(widths.begin(), widths.end()), widths.end());
-      if (requested > widths.size()) {
-        obs::Span span(trace(), "kernel_batch", "server");
-        span.arg("widths", std::to_string(widths.size()));
-        const auto k0 = std::chrono::steady_clock::now();
-        try {
-          (void)session->model().p_f_exact_batch(widths);
-          c_merged_kernel_hits.add(requested - widths.size());
-        } catch (const std::exception&) {
-          // Pure warm-up: a failing width fails its own job below, with
-          // that job's error frame.
-        }
-        h_kernel_batch.observe(us_since(k0));
-      }
-    }
-    // Job-indexed slots + per-job determinism: scheduling cannot change
-    // any response (same shape as run_flow_batch, with per-job error
-    // capture so one bad request never poisons its batch).
-    exec::parallel_for(indices.size(), options.n_threads, [&](std::size_t i) {
-      if (failed[i]) return;
-      const FlowRequest& request = batch[indices[i]].request;
-      yield::FlowParams params = request.params;
-      // Server-side scheduling knob; invariant on the results.
-      params.n_threads = options.n_threads;
-      try {
-        yield::FlowResult result;
-        {
-          obs::Span span(trace(), "evaluate", "server");
-          if (!request.trace_id.empty()) {
-            span.arg("trace_id", request.trace_id);
-          }
-          const auto t0 = std::chrono::steady_clock::now();
-          result = yield::run_flow(session->library(), *designs[i],
-                                   session->model(), params);
-          h_evaluate.observe(us_since(t0));
-        }
-        obs::Span span(trace(), "serialize", "server");
-        if (!request.trace_id.empty()) span.arg("trace_id", request.trace_id);
-        const auto s0 = std::chrono::steady_clock::now();
-        frames[i] = encode_flow_response(result);
-        h_serialize.observe(us_since(s0));
-      } catch (const std::exception& e) {
-        frames[i] = encode_error("evaluation_failed", e.what());
-        failed[i] = 1;
-      }
-    });
+    const std::vector<RequestOutcome> outcomes = service::evaluate_group(
+        cache, requests, options.n_threads,
+        {.trace = trace(),
+         .evaluate_us = &h_evaluate,
+         .serialize_us = &h_serialize});
     // Count before publishing: a client woken by set_value must see its
     // own request in the stats (the relaxed adds are sequenced before the
     // promise's release, so the waking future observes them).
     c_batches.add(1);
     c_batched_requests.add(indices.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      if (failed[i]) {
-        c_errors.add(1);
-      } else {
-        c_responses.add(1);
-      }
+    for (const RequestOutcome& outcome : outcomes) {
+      (outcome.error_code.empty() ? c_responses : c_errors).add(1);
     }
     for (std::size_t i = 0; i < indices.size(); ++i) {
-      batch[indices[i]].promise.set_value(std::move(frames[i]));
+      const RequestOutcome& outcome = outcomes[i];
+      batch[indices[i]].promise.set_value(
+          outcome.error_code.empty()
+              ? encode_frame(FrameType::FlowResponse, outcome.result_json)
+              : encode_error(outcome.error_code, outcome.error_message));
     }
   }
 

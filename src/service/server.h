@@ -3,10 +3,10 @@
 // Concurrently arriving FlowRequests are *coalesced*: a dispatcher thread
 // collects everything that arrives within a short window, groups it by
 // session key (library + *derived* process corner, see session_cache.h)
-// and evaluates each group as one batch of run_flow jobs on that session's
-// warm model, with per-job error capture — one bad request (e.g. an
-// infeasible scenario) gets its own error frame and never poisons its
-// batch. N clients therefore cost ~1 model warm-up plus their own MC
+// and evaluates each group through the evaluation core (evaluate.h): one
+// batch of run_flow jobs on that session's warm model, with per-job error
+// capture — one bad request (e.g. an infeasible scenario) gets its own
+// error frame and never poisons its batch. N clients therefore cost ~1 model warm-up plus their own MC
 // work, instead of N cold starts.
 //
 // Determinism contract (pinned in tests/test_service.cpp): a response is a
@@ -70,7 +70,7 @@ struct ServerOptions {
   /// Applied at the transport boundary of both the TCP and loopback paths.
   std::shared_ptr<FaultPlan> fault_plan;
   /// Trace sink for per-request spans (admission, queue_wait,
-  /// session_warm, interpolant_build, kernel_batch, evaluate, serialize).
+  /// session_warm, interpolant_build, evaluate, serialize).
   /// Null = tracing off, which is guaranteed zero-perturbation: responses
   /// and stores are byte-identical either way (pinned in tests).
   std::shared_ptr<obs::TraceSink> trace_sink;
@@ -109,8 +109,7 @@ struct ServerStats {
   std::uint64_t overload_rejects = 0;  ///< admission-queue rejections
   std::uint64_t deadline_sheds = 0;    ///< shed past-deadline, unevaluated
   std::uint64_t faults_injected = 0;   ///< fault-plan injections applied
-  /// Duplicate exact-path p_F(W) evaluations a coalesced group shared
-  /// through one batched kernel pass instead of recomputing per job.
+  /// Always 0 (no path merges kernel work); kept so its readers build.
   std::uint64_t merged_kernel_hits = 0;
 };
 

@@ -1,7 +1,7 @@
 // Build-level smoke test: one cheap end-to-end run_flow() call checking the
 // structural contract downstream consumers rely on — strategies come back in
 // enum order and the summary table renders. Deeper numerical checks live in
-// test_flow_router_quantile.cpp.
+// test_flow.cpp.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -1,5 +1,5 @@
-// Tests for design I/O, the timing model, the count-correlation estimator,
-// the report framework, and the units header.
+// Tests for design I/O, the count-correlation estimator, the report
+// framework, and the units header.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,10 +7,10 @@
 
 #include "celllib/generator.h"
 #include "cnt/correlation.h"
-#include "device/timing.h"
 #include "netlist/design_generator.h"
 #include "netlist/design_io.h"
 #include "report/experiment.h"
+#include "rng/engine.h"
 #include "util/contracts.h"
 #include "util/units.h"
 
@@ -87,71 +87,6 @@ TEST(DesignIo, SkipsCommentsAndBlankLines) {
       "enddesign\n",
       lib45());
   EXPECT_EQ(design.n_instances(), 7u);
-}
-
-// ----------------------------------------------------------------- timing
-
-TEST(Timing, PathDelayAveragesAcrossStages) {
-  // CV of an n-stage path falls like 1/sqrt(n).
-  const cnt::PitchModel pitch(4.0, 1.0);
-  const auto process = cnt::fig21_mid();
-  const cnt::DiameterModel diam;
-  const device::TubeCurrentModel tube;
-  const device::TimingParams timing;
-  rng::Xoshiro256 rng(501);
-  const auto one = device::simulate_path_delay(pitch, process, diam, tube,
-                                               timing, 120.0, 1, 20000, rng);
-  const auto sixteen = device::simulate_path_delay(
-      pitch, process, diam, tube, timing, 120.0, 16, 20000, rng);
-  EXPECT_NEAR(one.cv / sixteen.cv, 4.0, 0.6);
-  EXPECT_NEAR(sixteen.mean / one.mean, 16.0, 1.5);
-}
-
-TEST(Timing, WiderDevicesTightenTheDistribution) {
-  const cnt::PitchModel pitch(4.0, 0.9);
-  const auto process = cnt::fig21_worst();
-  const cnt::DiameterModel diam;
-  const device::TubeCurrentModel tube;
-  const device::TimingParams timing;
-  rng::Xoshiro256 rng(502);
-  const auto narrow = device::simulate_path_delay(
-      pitch, process, diam, tube, timing, 103.0, 8, 15000, rng);
-  const auto wide = device::simulate_path_delay(
-      pitch, process, diam, tube, timing, 412.0, 8, 15000, rng);
-  EXPECT_LT(wide.cv, narrow.cv);
-  EXPECT_LT(wide.p99_over_mean, narrow.p99_over_mean);
-  // Mean delay is ~width-independent (load and drive both scale with W).
-  EXPECT_NEAR(wide.mean / narrow.mean, 1.0, 0.15);
-}
-
-TEST(Timing, AnalyticCvMatchesSimulation) {
-  const cnt::PitchModel pitch(4.0, 1.0);
-  const auto process = cnt::fig21_mid();
-  const cnt::DiameterModel diam;
-  const device::TubeCurrentModel tube;
-  const device::TimingParams timing;
-  rng::Xoshiro256 rng(503);
-  const auto sim = device::simulate_path_delay(pitch, process, diam, tube,
-                                               timing, 160.0, 9, 30000, rng);
-  const double analytic =
-      device::analytic_path_delay_cv(pitch, process, diam, tube, 160.0, 9);
-  // First-order delta-method estimate; agree within ~15 %.
-  EXPECT_NEAR(sim.cv / analytic, 1.0, 0.15);
-}
-
-TEST(Timing, DeadGatesMarkPathsFailed) {
-  const cnt::PitchModel pitch(4.0, 1.0);
-  const auto process = cnt::fig21_worst();
-  const cnt::DiameterModel diam;
-  const device::TubeCurrentModel tube;
-  const device::TimingParams timing;
-  rng::Xoshiro256 rng(504);
-  // 8 nm devices: p_F ~ 0.4 per gate -> most 4-stage paths contain a dead
-  // gate.
-  const auto res = device::simulate_path_delay(pitch, process, diam, tube,
-                                               timing, 8.0, 4, 4000, rng);
-  EXPECT_GT(res.failed_paths, 2000u);
-  EXPECT_LT(res.failed_paths, 4000u);
 }
 
 // -------------------------------------------------------- correlation

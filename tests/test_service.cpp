@@ -39,6 +39,7 @@
 #include "device/failure_model.h"
 #include "netlist/design_generator.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/openmetrics.h"
 #include "obs/trace.h"
 #include "service/client.h"
@@ -387,7 +388,7 @@ TEST(ServiceServer, SoloAndCoalescedBurstResponsesAreByteIdentical) {
     const auto stats = server.stats();
     EXPECT_EQ(stats.batched_requests, 8u);
     EXPECT_LT(stats.batches, stats.batched_requests)
-        << "burst should have coalesced into fewer run_flow_batch calls";
+        << "burst should have coalesced into fewer group evaluations";
     server.stop();
   }
 
@@ -548,6 +549,64 @@ TEST(ServiceSessionCache, SharesWarmSessionsAndEvictsLru) {
   (void)sb;
 }
 
+// Why a coalesced group needs no exact-p_F pre-pass over its design widths:
+// on a warm session, run_flow never evaluates p_F exactly. Every p_F query
+// it makes (Brent abscissas, bracket ends, the baseline-W_min probes) lies
+// inside the session interpolant's bracket, so the design widths outside
+// it are never asked for.
+TEST(ServiceSession, WarmRunFlowEvaluatesNoExactPf) {
+  obs::Registry& registry = obs::Registry::global();
+  const auto exact_evaluations = [&registry] {
+    return registry.counter("kernels.pf_simd_widths").value() +
+           registry.counter("kernels.pf_scalar_widths").value();
+  };
+  FlowRequest paper = small_request(1, 0.9);
+  FlowRequest scenario = small_request(2, 0.9);
+  scenario.params.scenario.shorts = cny::scenario::ShortFailure{};
+  scenario.params.scenario.shorts->p_noise_fails = 1e-5;
+  scenario.params.scenario.length =
+      cny::scenario::FiniteLength{150.0e3, 0.3, 12};
+  ASSERT_EQ(service::session_key(paper).canonical(),
+            service::session_key(scenario).canonical());
+
+  service::SessionCache cache(1, kTestKnots, 1);
+  const std::uint64_t cold = exact_evaluations();
+  const auto session = cache.acquire(service::session_key(paper));
+  ASSERT_GT(exact_evaluations(), cold) << "warming books its exact knots";
+  const auto design = session->design(paper.design_instances);
+  std::vector<double> uncovered;
+  for (const auto& [w, n] : design->width_spectrum()) {
+    if (!session->model().interpolation_covers(w)) uncovered.push_back(w);
+  }
+  ASSERT_FALSE(uncovered.empty())
+      << "the paper design must have widths outside the interpolant";
+
+  const auto run = [&](const FlowRequest& request, double yield) {
+    yield::FlowParams params = request.params;
+    params.yield_desired = yield;
+    params.n_threads = 1;
+    (void)yield::run_flow(session->library(), *design, session->model(),
+                          params);
+  };
+  for (const double yield : {0.85, 0.90, 0.95, 0.99}) {
+    const std::uint64_t before = exact_evaluations();
+    run(paper, yield);
+    EXPECT_EQ(exact_evaluations(), before)
+        << "exact kernel reached at yield " << yield;
+  }
+  // The short mode runs the same truncated-PGF kernel for its own
+  // probability (ShortModel::p_short_device), so the kernel counters move
+  // for this request; what must not happen is a p_F query at a design
+  // width. Each such width has to be a memo miss afterwards.
+  for (const double yield : {0.85, 0.90, 0.95, 0.99}) run(scenario, yield);
+  for (const double w : uncovered) {
+    const std::uint64_t before = exact_evaluations();
+    (void)session->model().p_f_exact(w);
+    EXPECT_EQ(exact_evaluations(), before + 1)
+        << "p_F(" << w << ") was already memoised by a flow";
+  }
+}
+
 // --- TCP transport ---------------------------------------------------------
 
 TEST(ServiceServer, TcpEndToEndOnEphemeralPort) {
@@ -658,45 +717,9 @@ TEST(ServiceServer, PongSurfacesStatsCounters) {
   const std::string pong = client.ping();
   for (const char* key :
        {"\"overload_rejects\"", "\"deadline_sheds\"", "\"faults_injected\"",
-        "\"frames_in\"", "\"responses\"", "\"merged_kernel_hits\""}) {
+        "\"frames_in\"", "\"responses\""}) {
     EXPECT_NE(pong.find(key), std::string::npos) << key;
   }
-  server.stop();
-}
-
-// A coalesced group of structurally identical jobs (one session key, same
-// design) shares its exact-path p_F widths through one batched kernel
-// pre-pass; the merged_kernel_hits counter records the duplicate
-// evaluations saved. A solo request has nothing to merge with and must
-// leave the counter at zero.
-TEST(ServiceServer, CoalescedGroupMergesExactKernelEvaluations) {
-  {
-    service::YieldServer server(loopback_options());
-    server.start();
-    server.submit(service::encode_flow_request(small_request(1, 0.9))).get();
-    EXPECT_EQ(server.stats().merged_kernel_hits, 0u)
-        << "a solo request must not count merged hits";
-    server.stop();
-  }
-  auto options = loopback_options();
-  options.coalesce_window_us = 20000;  // make the burst coalesce for sure
-  service::YieldServer server(options);
-  server.start();
-  std::vector<std::future<std::string>> burst;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    burst.push_back(
-        server.submit(service::encode_flow_request(small_request(seed, 0.9))));
-  }
-  for (auto& f : burst) {
-    EXPECT_EQ(service::decode_frame(f.get()).type, FrameType::FlowResponse);
-  }
-  const auto stats = server.stats();
-  EXPECT_LT(stats.batches, stats.batched_requests)
-      << "burst should have coalesced";
-  // The default design's spectrum has widths above the session
-  // interpolant's bracket (the exact path); every job past the first in a
-  // group re-requests them, and each re-request is one merged hit.
-  EXPECT_GT(stats.merged_kernel_hits, 0u);
   server.stop();
 }
 
@@ -1112,9 +1135,8 @@ TEST(ServiceServer, EveryStatsCounterIsExercisedSomewhere) {
 
   {
     // Server A: burst past a tiny admission queue (responses, batches,
-    // batched_requests, merged_kernel_hits, sessions_built,
-    // overload_rejects), then a doomed deadline, a garbage frame, and a
-    // TCP ping (connections, frames_in).
+    // batched_requests, sessions_built, overload_rejects), then a doomed
+    // deadline, a garbage frame, and a TCP ping (connections, frames_in).
     auto options = loopback_options();
     options.listen = true;
     options.port = 0;
@@ -1167,10 +1189,10 @@ TEST(ServiceServer, EveryStatsCounterIsExercisedSomewhere) {
   }
 
   const std::set<std::string> expected{
-      "batched_requests", "batches",           "connections",
-      "deadline_sheds",   "errors",            "faults_injected",
-      "frames_in",        "merged_kernel_hits", "overload_rejects",
-      "responses",        "sessions_built"};
+      "batched_requests", "batches",          "connections",
+      "deadline_sheds",   "errors",           "faults_injected",
+      "frames_in",        "overload_rejects", "responses",
+      "sessions_built"};
   std::set<std::string> names;
   for (const auto& [name, value] : observed) {
     names.insert(name);

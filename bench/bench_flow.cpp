@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "celllib/generator.h"
+#include "exec/thread_pool.h"
 #include "experiments/flow_summary.h"
 #include "netlist/design_generator.h"
 #include "obs/resource.h"
@@ -54,31 +55,35 @@ BENCHMARK(BM_FullYieldFlowThreads)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The batched entry point: a 3-point yield-target sweep sharing one p_F(W)
-// interpolant, vs re-running run_flow per point (see run_flow_batch).
+// The batch shape: a 3-point yield-target sweep run concurrently on one
+// model — Arg 1 shares one p_F(W) interpolant (yield::warm_model), Arg 0
+// evaluates every p_F exactly.
 void BM_FlowBatchSweep(benchmark::State& state) {
   static const cny::celllib::Library lib = cny::celllib::make_nangate45_like();
   static const cny::netlist::Design design =
       cny::netlist::make_openrisc_like(lib);
   const cny::experiments::PaperParams paper;
-  std::vector<cny::yield::FlowJob> jobs;
+  std::vector<cny::yield::FlowParams> jobs;
   for (double y : {0.80, 0.90, 0.95}) {
-    cny::yield::FlowJob job;
-    job.design = &design;
-    job.params.yield_desired = y;
-    jobs.push_back(job);
+    cny::yield::FlowParams params;
+    params.yield_desired = y;
+    jobs.push_back(params);
   }
-  cny::yield::BatchParams batch;
-  batch.share_interpolant = state.range(0) != 0;
+  std::vector<cny::yield::FlowResult> results(jobs.size());
   for (auto _ : state) {
     // Fresh model per iteration: measure the cold cost a new process/param
     // set pays, not replays against an already-warm memo cache.
     state.PauseTiming();
     const auto cold_model = paper.failure_model();
     state.ResumeTiming();
-    const auto results =
-        cny::yield::run_flow_batch(lib, jobs, cold_model, batch);
-    benchmark::DoNotOptimize(results.size());
+    const auto model = state.range(0) != 0
+                           ? cny::yield::warm_model(cold_model, {}, 65, 0)
+                           : cny::device::FailureModel(cold_model);
+    cny::exec::parallel_for(jobs.size(), 0, [&](std::size_t i) {
+      results[i] = cny::yield::run_flow(lib, design, model, jobs[i]);
+    });
+    benchmark::DoNotOptimize(results.data());
+    benchmark::ClobberMemory();
   }
   record_memory(state);
 }
@@ -87,23 +92,25 @@ BENCHMARK(BM_FlowBatchSweep)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Single-design run_flow with the bracket-scoped interpolant opt-in
-// (FlowParams::use_interpolant): Arg 0 = exact p_F per solver query,
-// Arg 1 = one 65-knot table up front, answered from the snapshot after.
+// Single-design run_flow: Arg 0 = exact p_F per solver query, Arg 1 = one
+// 65-knot table up front (yield::warm_model), answered from the snapshot
+// after.
 void BM_SingleFlowInterpolant(benchmark::State& state) {
   static const cny::celllib::Library lib = cny::celllib::make_nangate45_like();
   static const cny::netlist::Design design =
       cny::netlist::make_openrisc_like(lib);
   const cny::experiments::PaperParams paper;
-  cny::yield::FlowParams params;
-  params.use_interpolant = state.range(0) != 0;
+  const cny::yield::FlowParams params;
   for (auto _ : state) {
     // Fresh model per iteration: measure the cold cost a new process/param
     // set pays, not replays against an already-warm memo cache.
     state.PauseTiming();
     const auto cold_model = paper.failure_model();
     state.ResumeTiming();
-    const auto res = cny::yield::run_flow(lib, design, cold_model, params);
+    const auto model = state.range(0) != 0
+                           ? cny::yield::warm_model(cold_model, {}, 65, 0)
+                           : cny::device::FailureModel(cold_model);
+    const auto res = cny::yield::run_flow(lib, design, model, params);
     benchmark::DoNotOptimize(res.strategies.size());
   }
   record_memory(state);

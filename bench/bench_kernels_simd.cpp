@@ -1,23 +1,18 @@
-// Scalar-vs-SIMD and batched-vs-looped baselines for the kernel-backend
-// layer (src/kernels/). Every benchmark here exists under ONE name in TWO
-// implementations, selected by a flag this binary parses before Google
-// Benchmark sees argv:
+// Scalar-vs-SIMD baselines for the kernel-backend layer (src/kernels/).
+// Every benchmark here runs the same calls in both modes; a flag this
+// binary parses before Google Benchmark sees argv picks the dispatch:
 //
-//   --mode=looped    the historical evaluation shape: one scalar
-//                    pf_truncated call per width, SIMD dispatch forced off
-//   --mode=batched   (default) the library's shape: widths evaluated
-//                    through pf_truncated_batch / the interpolant build,
-//                    SIMD dispatch on auto (node-lane term loop)
+//   --mode=looped    SIMD dispatch forced off (the scalar term loop)
+//   --mode=batched   (default) SIMD dispatch on auto (node-lane term loop)
 //
 // Recording the same binary in both modes and diffing the JSONs with
-// tools/bench_compare.py measures exactly the batched+SIMD win while
-// holding the benchmark harness constant; CI gates the interpolant build,
-// the Fig 2.1 sweep and the single-width solve step (looped/batched ratio
-// floors in .github/workflows/ci.yml). Results are bit-identical across
-// modes (tests/test_kernels.cpp), so the diff is pure speed.
+// tools/bench_compare.py measures exactly the SIMD win while holding the
+// benchmark harness and call shape constant; CI gates the interpolant
+// build, the Fig 2.1 sweep and the single-width solve step (looped/batched
+// ratio floors in .github/workflows/ci.yml). Results are bit-identical
+// across modes (tests/test_kernels.cpp), so the diff is pure speed.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -29,61 +24,32 @@
 #include "geom/interval.h"
 #include "kernels/dispatch.h"
 #include "kernels/mc_kernels.h"
-#include "kernels/pf_batch.h"
 #include "rng/engine.h"
 
 namespace {
 
 using namespace cny;
 
-bool g_batched = true;  // --mode=; false = looped scalar reference shape
-
-/// One result vector, both shapes: the looped mode is the exact historical
-/// call pattern (scalar kernel, one call per width).
+/// One exact kernel call per width.
 std::vector<double> eval_widths(const cnt::PitchModel& pitch,
                                 const std::vector<double>& widths, double z) {
   std::vector<double> out;
   out.reserve(widths.size());
-  if (g_batched) {
-    for (const auto& r : kernels::pf_truncated_batch(pitch, widths, z)) {
-      out.push_back(r.value);
-    }
-  } else {
-    for (double w : widths) {
-      out.push_back(cnt::pf_truncated(pitch, w, z).value);
-    }
-  }
+  for (double w : widths) out.push_back(cnt::pf_truncated(pitch, w, z).value);
   return out;
 }
 
 // --- headline 1: the interpolant build --------------------------------------
 // 65 exact kernel evaluations over the solver bracket — the dominant
-// fixed cost of every interpolated flow. The batched mode is the real
-// FailureModel::enable_interpolation path (node-lane kernel per knot);
-// the looped mode evaluates the same geometric knot grid one scalar
-// kernel call at a time, which is what the build did before this layer.
+// fixed cost of every interpolated flow, timed on the real
+// FailureModel::enable_interpolation path (one thread).
 void BM_InterpolantBuild(benchmark::State& state) {
   const cnt::PitchModel pitch(4.0, 0.9);
   const auto proc = cnt::fig21_mid();
-  constexpr std::size_t kKnots = 65;
   for (auto _ : state) {
-    if (g_batched) {
-      const device::FailureModel model(pitch, proc);
-      model.enable_interpolation(4.0, 400.0, kKnots, 1);
-      benchmark::DoNotOptimize(model.interpolation_covers(155.0));
-    } else {
-      std::vector<double> xs(kKnots);
-      const double ratio = 400.0 / 4.0;
-      for (std::size_t i = 0; i < kKnots; ++i) {
-        xs[i] = 4.0 * std::pow(ratio, static_cast<double>(i) /
-                                          static_cast<double>(kKnots - 1));
-      }
-      double sum = 0.0;
-      for (double x : xs) {
-        sum += cnt::pf_truncated(pitch, x, proc.p_fail()).value;
-      }
-      benchmark::DoNotOptimize(sum);
-    }
+    const device::FailureModel model(pitch, proc);
+    model.enable_interpolation(4.0, 400.0, 65, 1);
+    benchmark::DoNotOptimize(model.interpolation_covers(155.0));
   }
 }
 BENCHMARK(BM_InterpolantBuild)->Unit(benchmark::kMillisecond);
@@ -177,15 +143,16 @@ BENCHMARK(BM_WindowSweep)->Arg(4096);
 // it, set the dispatch seam accordingly, then run as usual.
 int main(int argc, char** argv) {
   int kept = 1;
+  const char* mode_name = "batched";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--mode=", 0) == 0) {
       const std::string mode = arg.substr(7);
       if (mode == "looped") {
-        g_batched = false;
+        mode_name = "looped";
         cny::kernels::set_simd_mode(cny::kernels::SimdMode::Off);
       } else if (mode == "batched") {
-        g_batched = true;
+        mode_name = "batched";
         cny::kernels::set_simd_mode(cny::kernels::SimdMode::Auto);
       } else {
         std::fprintf(stderr, "--mode must be 'looped' or 'batched'\n");
@@ -196,7 +163,7 @@ int main(int argc, char** argv) {
     }
   }
   argc = kept;
-  std::printf("mode: %s, backend: %s\n", g_batched ? "batched" : "looped",
+  std::printf("mode: %s, backend: %s\n", mode_name,
               cny::kernels::backend_name());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -5,10 +5,10 @@
 //   BM_FlowShorts          — + combined open x short W_min fixpoint and the
 //                            per-strategy required-p_Rm bisections
 //   BM_FlowAllMechanisms   — shorts + finite length + removal frontier
-//   BM_FrontierBatchShared — 4-point removal sweep through run_flow_batch,
-//                            one warm model + table per derived corner
-//   BM_FrontierBatchCold   — the same sweep with share_interpolant off:
-//                            what per-corner sharing saves
+//   BM_FrontierBatchShared — 4-point removal sweep, one yield::warm_model
+//                            (model + table) per derived corner
+//   BM_FrontierBatchCold   — the same sweep on exact p_F, each flow
+//                            rebuilding its corner: what sharing saves
 //
 // NOTE: the checked-in baseline was recorded on a 1-core container (see
 // bench/baselines/README.md), so the batch entries measure kernel cost, not
@@ -84,19 +84,21 @@ void BM_FlowAllMechanisms(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowAllMechanisms)->Unit(benchmark::kMillisecond);
 
-std::vector<yield::FlowJob> frontier_jobs() {
+/// Yield targets per removal corner in frontier_jobs().
+constexpr std::size_t kYieldTargets = 2;
+
+std::vector<yield::FlowParams> frontier_jobs() {
   // 4 removal targets -> 4 distinct derived corners (feasible across the
-  // sweep at selectivity 6), each evaluated at 2 yield targets — the shape
-  // of coalesced sweep traffic, where per-corner table sharing pays.
-  std::vector<yield::FlowJob> jobs;
+  // sweep at selectivity 6), each evaluated at kYieldTargets yield targets
+  // (corner-major) — the shape of coalesced sweep traffic, where
+  // per-corner table sharing pays.
+  std::vector<yield::FlowParams> jobs;
   for (const double p_rm : {0.99, 0.999, 0.9999, 0.99999}) {
     for (const double yield_target : {0.85, 0.90}) {
-      yield::FlowJob job;
-      job.design = &design();
-      job.params = flow_params();
-      job.params.yield_desired = yield_target;
-      job.params.scenario.removal = scenario::RemovalFrontier{6.0, p_rm};
-      jobs.push_back(job);
+      auto params = flow_params();
+      params.yield_desired = yield_target;
+      params.scenario.removal = scenario::RemovalFrontier{6.0, p_rm};
+      jobs.push_back(params);
     }
   }
   return jobs;
@@ -104,24 +106,29 @@ std::vector<yield::FlowJob> frontier_jobs() {
 
 void BM_FrontierBatchShared(benchmark::State& state) {
   const auto jobs = frontier_jobs();
-  yield::BatchParams batch;
-  batch.n_threads = 1;
-  batch.share_interpolant = true;
+  std::vector<yield::FlowResult> results(jobs.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        yield::run_flow_batch(library(), jobs, model(), batch));
+    for (std::size_t c = 0; c < jobs.size(); c += kYieldTargets) {
+      const auto warm = yield::warm_model(model(), jobs[c].scenario, 65, 1);
+      for (std::size_t j = c; j < c + kYieldTargets; ++j) {
+        results[j] = yield::run_flow(library(), design(), warm, jobs[j]);
+      }
+    }
+    benchmark::DoNotOptimize(results.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_FrontierBatchShared)->Unit(benchmark::kMillisecond);
 
 void BM_FrontierBatchCold(benchmark::State& state) {
   const auto jobs = frontier_jobs();
-  yield::BatchParams batch;
-  batch.n_threads = 1;
-  batch.share_interpolant = false;
+  std::vector<yield::FlowResult> results(jobs.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        yield::run_flow_batch(library(), jobs, model(), batch));
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      results[j] = yield::run_flow(library(), design(), model(), jobs[j]);
+    }
+    benchmark::DoNotOptimize(results.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_FrontierBatchCold)->Unit(benchmark::kMillisecond);

@@ -6,7 +6,6 @@
 
 #include "cnt/pf_kernel.h"
 #include "exec/thread_pool.h"
-#include "kernels/pf_batch.h"
 #include "util/contracts.h"
 
 namespace cny::device {
@@ -89,10 +88,9 @@ std::vector<double> FailureModel::p_f_exact_batch(
     std::span<const double> widths) const {
   std::vector<double> out(widths.size());
   // Memo probe for the whole batch under one shared lock; the misses are
-  // evaluated in a single batched kernel pass. Batch evaluation is
-  // bit-identical to per-width pf_truncated (the kernels contract), so a
+  // evaluated outside it with the same kernel call as p_f_exact, so a
   // width computes to the same bytes whichever call pattern filled the
-  // memo first.
+  // memo first, and land in the memo under one lock.
   std::vector<std::size_t> miss;
   {
     const std::shared_lock<std::shared_mutex> lock(memo_mutex_);
@@ -107,16 +105,14 @@ std::vector<double> FailureModel::p_f_exact_batch(
     }
   }
   if (miss.empty()) return out;
-  std::vector<double> miss_w(miss.size());
-  for (std::size_t j = 0; j < miss.size(); ++j) miss_w[j] = widths[miss[j]];
-  const auto results =
-      kernels::pf_truncated_batch(pitch_, miss_w, process_.p_fail());
+  for (const std::size_t i : miss) {
+    out[i] = cnt::pf_truncated(pitch_, widths[i], process_.p_fail()).value;
+  }
   const std::unique_lock<std::shared_mutex> lock(memo_mutex_);
-  for (std::size_t j = 0; j < miss.size(); ++j) {
-    out[miss[j]] = results[j].value;
-    if (const auto it = memo_find(memo_, miss_w[j]);
-        it == memo_.end() || it->first != miss_w[j]) {
-      memo_.insert(it, {miss_w[j], results[j].value});
+  for (const std::size_t i : miss) {
+    if (const auto it = memo_find(memo_, widths[i]);
+        it == memo_.end() || it->first != widths[i]) {
+      memo_.insert(it, {widths[i], out[i]});
     }
   }
   return out;

@@ -63,8 +63,8 @@ class FailureModel {
   /// Batched p_f(): one result per width, each bit-identical to the
   /// corresponding scalar p_f(width) call. Interpolant-covered widths read
   /// the table; the remaining exact evaluations of one call share one memo
-  /// probe, run through kernels::pf_truncated_batch, and land in the memo
-  /// under one lock.
+  /// probe, run cnt::pf_truncated per miss, and land in the memo under one
+  /// lock.
   [[nodiscard]] std::vector<double> p_f_batch(
       std::span<const double> widths) const;
 

@@ -1,8 +1,8 @@
 // AVX2 node-lane bodies of the truncated-PGF term loop
 // (cnt/pf_kernel.cpp): four quadrature nodes of one width per register.
 // Every exact p_F evaluation — a single Brent abscissa, an interpolant
-// knot, a batch entry — runs its per-term node shards through these
-// bodies when the AVX2 backend is active.
+// knot, a p_f_exact_batch miss — runs its per-term node shards through
+// these bodies when the AVX2 backend is active.
 //
 // Bit-identity is the design constraint everything here serves:
 //

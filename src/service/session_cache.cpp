@@ -8,7 +8,7 @@
 #include "netlist/design_generator.h"
 #include "scenario/engine.h"
 #include "util/contracts.h"
-#include "yield/wmin_solver.h"
+#include "yield/flow.h"
 
 namespace cny::service {
 
@@ -25,12 +25,31 @@ celllib::Library make_library(const std::string& name) {
   return celllib::make_nangate45_like();
 }
 
-device::FailureModel make_model(const ProcessSpec& spec) {
+/// The session's warm model: yield::warm_model at the key's corner (already
+/// derived, so the empty scenario keeps it), timed by an "interpolant_build"
+/// span and histogram.
+device::FailureModel make_warm_model(const ProcessSpec& spec,
+                                     const std::string& canonical,
+                                     std::size_t interpolant_knots,
+                                     unsigned n_threads, obs::TraceSink* trace,
+                                     obs::Histogram* build_histogram) {
   cnt::ProcessParams process;
   process.p_metallic = spec.p_metallic;
   process.p_remove_s = spec.p_remove_s;
-  return device::FailureModel(
+  const device::FailureModel base(
       cnt::PitchModel(spec.pitch_mean_nm, spec.pitch_cv), process);
+  obs::Span span(trace, "interpolant_build", "session");
+  span.arg("session", canonical);
+  const auto t0 = std::chrono::steady_clock::now();
+  device::FailureModel model =
+      yield::warm_model(base, {}, interpolant_knots, n_threads);
+  if (build_histogram != nullptr) {
+    build_histogram->observe(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
+  }
+  return model;
 }
 
 }  // namespace
@@ -66,23 +85,11 @@ Session::Session(SessionKey key, std::size_t interpolant_knots,
     : key_(std::move(key)),
       canonical_(key_.canonical()),
       lib_(make_library(key_.library)),
-      model_(make_model(key_.process)) {
-  // Warm the model over the whole solver bracket: every p_F query any
-  // strategy of any request makes lands inside it, so after this one build
-  // the hot read path is the lock-free interpolant snapshot.
-  const yield::WminRequest bracket;
-  obs::Span span(trace, "interpolant_build", "session");
-  span.arg("session", canonical_);
-  const auto t0 = std::chrono::steady_clock::now();
-  model_.enable_interpolation(bracket.w_lo, bracket.w_hi, interpolant_knots,
-                              n_threads);
-  if (build_histogram != nullptr) {
-    build_histogram->observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  }
-}
+      // Warm over the whole solver bracket: every p_F query any strategy of
+      // any request makes lands inside it, so after this one build the hot
+      // read path is the lock-free interpolant snapshot.
+      model_(make_warm_model(key_.process, canonical_, interpolant_knots,
+                             n_threads, trace, build_histogram)) {}
 
 std::shared_ptr<const netlist::Design> Session::design(
     std::uint64_t instances) const {

@@ -48,9 +48,10 @@ struct SessionKey {
 
 class Session {
  public:
-  /// Generates the library and warms the model: the log-p_F interpolant is
-  /// built over the full W_min solver bracket with `interpolant_knots`
-  /// knots on `n_threads` threads (0 = hardware concurrency). The optional
+  /// Generates the library and warms the model through yield::warm_model:
+  /// the log-p_F interpolant is built over the full W_min solver bracket
+  /// with `interpolant_knots` knots on `n_threads` threads (0 = hardware
+  /// concurrency). The optional
   /// observability hooks time the interpolant build (an
   /// "interpolant_build" span + histogram) — pure measurement, never
   /// behaviour.

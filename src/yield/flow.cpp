@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -106,8 +104,7 @@ namespace {
 /// point (iterated once: relaxation depends weakly on the width used).
 double directional_relaxation(const netlist::Design& design,
                               const device::FailureModel& model,
-                              const FlowParams& params, double w_probe,
-                              double m_r_min_devices) {
+                              const FlowParams& params, double w_probe) {
   const auto offsets = layout::window_offsets(design, w_probe);
   CNY_EXPECT_MSG(!offsets.empty(), "design has no critical regions");
   std::vector<geom::Interval> windows;
@@ -125,7 +122,6 @@ double directional_relaxation(const netlist::Design& design,
   rows.l_cnt = params.l_cnt;
   rows.fets_per_um = params.fets_per_um;
   rows.m_min = 1;
-  (void)m_r_min_devices;
   return relaxation_factor(p_rf, p_f, rows);
 }
 
@@ -142,37 +138,15 @@ FlowResult run_flow(const celllib::Library& lib,
                                 orig_model.process());
 
   // RemovalFrontier derivation: rebuild at the earned corner only when the
-  // caller's model is elsewhere — the service's session cache (and the
-  // batch path's corner groups) already hand over warm models at the
-  // derived corner, which pass through untouched.
+  // caller's model is elsewhere — the service's sessions and warm_model
+  // already hand over warm models at the derived corner, which pass
+  // through untouched.
   std::optional<device::FailureModel> corner_model;
-  const device::FailureModel* corner_ptr = &orig_model;
   if (!engine.matches(orig_model.process())) {
     corner_model.emplace(orig_model.pitch(), engine.process());
-    corner_ptr = &*corner_model;
   }
-
-  // Opt-in bracket-scoped interpolant (ROADMAP "solver hot path"): every
-  // p_F query any strategy's solver makes lives inside the W bracket, so
-  // one table amortises them all. Installed on a local copy unless the
-  // caller's model already covers the bracket (e.g. run_flow_batch's
-  // shared table), so the caller's exactness is never altered.
-  std::optional<device::FailureModel> interp_model;
-  const device::FailureModel* eval_model = corner_ptr;
-  if (params.use_interpolant) {
-    const WminRequest bracket;
-    if (!corner_ptr->interpolation_covers(bracket.w_lo) ||
-        !corner_ptr->interpolation_covers(bracket.w_hi)) {
-      // Install on the flow-local corner model if one already exists,
-      // else on a fresh copy of the caller's.
-      device::FailureModel& local =
-          corner_model ? *corner_model : interp_model.emplace(orig_model);
-      local.enable_interpolation(bracket.w_lo, bracket.w_hi,
-                                 params.interpolant_knots, params.n_threads);
-      eval_model = &local;
-    }
-  }
-  const device::FailureModel& model = *eval_model;
+  const device::FailureModel& model =
+      corner_model ? *corner_model : orig_model;
 
   auto spectrum = design.width_spectrum();
   spectrum = scale_spectrum(
@@ -216,7 +190,7 @@ FlowResult run_flow(const celllib::Library& lib,
 
   // Directional-only: probe the relaxation at the baseline W_min.
   const double dir_relax =
-      directional_relaxation(design, model, params, base.w_min, mrmin);
+      directional_relaxation(design, model, params, base.w_min);
 
   // FiniteLength: the aligned-credit rescale, probed (like the directional
   // relaxation) at the baseline W_min's functional-CNT density.
@@ -281,57 +255,21 @@ FlowResult run_flow(const celllib::Library& lib,
   return out;
 }
 
-std::vector<FlowResult> run_flow_batch(const celllib::Library& lib,
-                                       const std::vector<FlowJob>& jobs,
-                                       const device::FailureModel& model,
-                                       const BatchParams& batch) {
-  for (const auto& job : jobs) {
-    CNY_EXPECT(job.design != nullptr);
-    // Fail on the named parameter before corner derivation can trip over
-    // it (p_rs_at on a NaN target would throw a message naming nothing).
-    validate(job.params);
-  }
-  // One warm model (with its bracket interpolant) per distinct *derived*
-  // process corner, installed on batch-local copies so the caller's model
-  // keeps answering exactly after the batch returns. Scenario sweeps batch
-  // like param sweeps: every job whose RemovalFrontier (or its absence)
-  // lands on the same corner shares that corner's table; the caller's own
-  // corner is seeded from a copy, so its memo cache still counts.
-  std::vector<const device::FailureModel*> job_models(jobs.size(), &model);
-  std::vector<std::unique_ptr<device::FailureModel>> corner_models;
-  if (batch.share_interpolant) {
-    const WminRequest bracket;
-    std::map<std::pair<double, double>, std::size_t> corners;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const auto corner = scenario::derived_process(
-          model.process(), jobs[i].params.scenario);
-      const auto key = std::make_pair(corner.p_metallic, corner.p_remove_s);
-      const auto [it, inserted] = corners.try_emplace(key,
-                                                      corner_models.size());
-      if (inserted) {
-        auto warmed =
-            key == std::make_pair(model.process().p_metallic,
-                                  model.process().p_remove_s)
-                ? std::make_unique<device::FailureModel>(model)
-                : std::make_unique<device::FailureModel>(model.pitch(),
-                                                         corner);
-        warmed->enable_interpolation(bracket.w_lo, bracket.w_hi,
-                                     batch.interpolant_knots,
-                                     batch.n_threads);
-        corner_models.push_back(std::move(warmed));
-      }
-      job_models[i] = corner_models[it->second].get();
-    }
-  }
-
-  // Jobs land in job-indexed slots and each job is a deterministic function
-  // of its own (design, params), so scheduling cannot change any result.
-  std::vector<FlowResult> results(jobs.size());
-  exec::parallel_for(jobs.size(), batch.n_threads, [&](std::size_t i) {
-    results[i] = run_flow(lib, *jobs[i].design, *job_models[i],
-                          jobs[i].params);
-  });
-  return results;
+device::FailureModel warm_model(const device::FailureModel& base,
+                                const scenario::ScenarioSpec& scenario,
+                                std::size_t knots, unsigned n_threads) {
+  // Fail on the named parameter before corner derivation can trip over it
+  // (p_rs_at on a NaN target would throw a message naming nothing).
+  scenario::validate(scenario);
+  const auto corner = scenario::derived_process(base.process(), scenario);
+  const bool own_corner = corner.p_metallic == base.process().p_metallic &&
+                          corner.p_remove_s == base.process().p_remove_s;
+  device::FailureModel model =
+      own_corner ? device::FailureModel(base)
+                 : device::FailureModel(base.pitch(), corner);
+  const WminRequest bracket;
+  model.enable_interpolation(bracket.w_lo, bracket.w_hi, knots, n_threads);
+  return model;
 }
 
 }  // namespace cny::yield

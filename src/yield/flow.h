@@ -51,17 +51,6 @@ struct FlowParams {
   /// (seed, mc_streams) only. 1 reproduces the pre-exec-subsystem serial
   /// numbers bit-for-bit (stream 0 is the legacy serial order).
   unsigned mc_streams = 16;
-  /// Route p_F(W) queries through a bracket-scoped log-p_F interpolant
-  /// built over the solver's W bracket (on a flow-local copy of the model —
-  /// the caller's model keeps answering exactly). The knots are exact
-  /// truncated-kernel evaluations, so the table costs `interpolant_knots`
-  /// queries up front and repays them across every solver bracket step of
-  /// every strategy; W_min shifts only by the interpolation error
-  /// (~1e-4 nm with the default knot count). Defaults to off: exactness is
-  /// the single-design default, batching is where the table is shared
-  /// (run_flow_batch / BatchParams::share_interpolant).
-  bool use_interpolant = false;
-  std::size_t interpolant_knots = 65;
   /// Failure-mechanism selection (scenario/spec.h): optional ShortFailure /
   /// FiniteLength / RemovalFrontier blocks composed by the scenario engine.
   /// An empty spec (the default) reproduces the open-only flow bit for bit.
@@ -72,8 +61,8 @@ struct FlowParams {
 /// and the service protocol decoder): validates each FlowParams field and
 /// the embedded scenario spec, NaN-safe, throwing std::invalid_argument
 /// whose message names the offending field and nothing else (it crosses
-/// the service wire verbatim). Scheduling knobs (n_threads, interpolant)
-/// are unconstrained — they never change results.
+/// the service wire verbatim). The scheduling knob n_threads is
+/// unconstrained — it never changes results.
 void validate(const FlowParams& params);
 
 struct StrategyResult {
@@ -105,39 +94,25 @@ struct FlowResult {
   [[nodiscard]] util::Table summary_table() const;
 };
 
-/// Runs every strategy. The design must target `lib`.
+/// Runs every strategy. The design must target `lib`. p_F is answered by
+/// `model` as handed over: exactly, unless it is already warm (warm_model),
+/// in which case every solver query inside the bracket reads its table.
 [[nodiscard]] FlowResult run_flow(const celllib::Library& lib,
                                   const netlist::Design& design,
                                   const device::FailureModel& model,
                                   const FlowParams& params);
 
-/// One unit of batched work: a design plus the parameters to evaluate it
-/// under. Param sweeps are batches whose jobs share a design.
-struct FlowJob {
-  const netlist::Design* design = nullptr;
-  FlowParams params;
-};
-
-struct BatchParams {
-  /// Concurrent jobs; 0 = hardware concurrency. Scheduling only — results
-  /// are always identical to running each job through run_flow alone.
-  unsigned n_threads = 0;
-  /// Build one log-p_F(W) interpolant up front (on a batch-local copy of
-  /// the model — the caller's model is never modified) and let all jobs
-  /// (every strategy of every design) share it, instead of paying the
-  /// count-distribution PGF per fresh width per job. Trades exactness for
-  /// throughput: W_min shifts by the interpolation error (~1e-4 nm with the
-  /// default knot count).
-  bool share_interpolant = true;
-  std::size_t interpolant_knots = 65;
-};
-
-/// Evaluates every job concurrently on the shared thread pool. Results come
-/// back in job order and are deterministic: job i equals
-/// run_flow(lib, *jobs[i].design, model, jobs[i].params) exactly (when
-/// `share_interpolant` is false) or to interpolation accuracy (when true).
-[[nodiscard]] std::vector<FlowResult> run_flow_batch(
-    const celllib::Library& lib, const std::vector<FlowJob>& jobs,
-    const device::FailureModel& model, const BatchParams& batch = {});
+/// The warm model every front end that shares one p_F table across flows
+/// builds (the CLI's batch sweep, the service session, the examples): the
+/// model at the corner scenario::derived_process gives for `scenario` —
+/// a copy of `base` when that is base's own corner, so its memo carries
+/// over, else a fresh model there — with the log-p_F interpolant installed
+/// over the W_min solver bracket (WminRequest{}'s [w_lo, w_hi]; `knots`
+/// exact evaluations on `n_threads` threads, 0 = hardware concurrency).
+/// run_flow on it trades exactness for throughput: W_min shifts by the
+/// interpolation error (~1e-4 nm at 65 knots). `base` is never modified.
+[[nodiscard]] device::FailureModel warm_model(
+    const device::FailureModel& base, const scenario::ScenarioSpec& scenario,
+    std::size_t knots, unsigned n_threads);
 
 }  // namespace cny::yield

@@ -425,25 +425,32 @@ TEST(FlowParallel, ThreadCountInvariantEndToEnd) {
   }
 }
 
+/// The batch shape every front end runs: one shared model, concurrent
+/// run_flow calls into job-indexed slots.
+std::vector<yield::FlowResult> run_concurrently(
+    const netlist::Design& design, const device::FailureModel& model,
+    const std::vector<yield::FlowParams>& jobs) {
+  std::vector<yield::FlowResult> results(jobs.size());
+  exec::parallel_for(jobs.size(), 0, [&](std::size_t i) {
+    results[i] = yield::run_flow(flow_library(), design, model, jobs[i]);
+  });
+  return results;
+}
+
 TEST(FlowBatch, MatchesIndividualRunsExactlyWithoutInterpolant) {
   const auto design = netlist::make_openrisc_like(flow_library());
   const device::FailureModel model(cnt::PitchModel(4.0, 0.9),
                                    cnt::fig21_worst());
-  std::vector<yield::FlowJob> jobs(2);
-  jobs[0].design = &design;
-  jobs[0].params.mc_samples = 500;
-  jobs[0].params.yield_desired = 0.85;
-  jobs[1].design = &design;
-  jobs[1].params.mc_samples = 500;
-  jobs[1].params.yield_desired = 0.95;
+  std::vector<yield::FlowParams> jobs(2);
+  jobs[0].mc_samples = 500;
+  jobs[0].yield_desired = 0.85;
+  jobs[1].mc_samples = 500;
+  jobs[1].yield_desired = 0.95;
 
-  yield::BatchParams batch;
-  batch.share_interpolant = false;
-  const auto results = yield::run_flow_batch(flow_library(), jobs, model, batch);
+  const auto results = run_concurrently(design, model, jobs);
   ASSERT_EQ(results.size(), 2u);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto solo =
-        yield::run_flow(flow_library(), *jobs[j].design, model, jobs[j].params);
+    const auto solo = yield::run_flow(flow_library(), design, model, jobs[j]);
     for (std::size_t i = 0; i < solo.strategies.size(); ++i) {
       EXPECT_EQ(results[j].strategies[i].w_min, solo.strategies[i].w_min);
       EXPECT_EQ(results[j].strategies[i].relaxation,
@@ -456,16 +463,17 @@ TEST(FlowBatch, SharedInterpolantStaysWithinTolerance) {
   const auto design = netlist::make_openrisc_like(flow_library());
   const device::FailureModel model(cnt::PitchModel(4.0, 0.9),
                                    cnt::fig21_worst());
-  yield::FlowJob job;
-  job.design = &design;
-  job.params.mc_samples = 500;
+  yield::FlowParams params;
+  params.mc_samples = 500;
 
-  yield::BatchParams batch;  // share_interpolant = true
-  const auto batched =
-      yield::run_flow_batch(flow_library(), {job, job}, model, batch);
+  const auto warm = yield::warm_model(model, params.scenario, 65, 0);
+  EXPECT_TRUE(warm.interpolation_covers(yield::WminRequest{}.w_hi));
+  EXPECT_FALSE(model.interpolation_covers(100.0))
+      << "warm_model must not install the table on the caller's model";
+  const auto batched = run_concurrently(design, warm, {params, params});
   const device::FailureModel clean(cnt::PitchModel(4.0, 0.9),
                                    cnt::fig21_worst());
-  const auto solo = yield::run_flow(flow_library(), design, clean, job.params);
+  const auto solo = yield::run_flow(flow_library(), design, clean, params);
   ASSERT_EQ(batched.size(), 2u);
   for (std::size_t i = 0; i < solo.strategies.size(); ++i) {
     // Identical jobs must agree with each other exactly...

@@ -37,7 +37,7 @@ TEST(FlowSmoke, StrategiesComeBackInEnumOrder) {
 }
 
 TEST(FlowSmoke, InterpolantOptInTracksExactFlow) {
-  // FlowParams::use_interpolant must reproduce the exact flow to
+  // run_flow on a yield::warm_model must reproduce the exact flow to
   // interpolation accuracy (W_min within ~1e-3 nm relative), leave the
   // caller's model untouched, and keep the strategy order contract.
   const auto lib = celllib::make_nangate45_like();
@@ -47,10 +47,13 @@ TEST(FlowSmoke, InterpolantOptInTracksExactFlow) {
   yield::FlowParams params;
   params.mc_samples = 2000;
   const auto exact = smoke_result();
-  params.use_interpolant = true;
-  const auto interp = yield::run_flow(lib, design, model, params);
+  const auto warm = yield::warm_model(model, params.scenario, 65, 0);
+  const yield::WminRequest bracket;
+  EXPECT_TRUE(warm.interpolation_covers(bracket.w_lo));
+  EXPECT_TRUE(warm.interpolation_covers(bracket.w_hi));
+  const auto interp = yield::run_flow(lib, design, warm, params);
   EXPECT_FALSE(model.interpolation_covers(100.0))
-      << "run_flow must not install the table on the caller's model";
+      << "warm_model must not install the table on the caller's model";
   ASSERT_EQ(interp.strategies.size(), exact.strategies.size());
   for (std::size_t i = 0; i < interp.strategies.size(); ++i) {
     EXPECT_EQ(interp.strategies[i].strategy, exact.strategies[i].strategy);

@@ -1,8 +1,9 @@
 // Pins for the kernel-backend layer (src/kernels/): the node-lane p_F term
-// loop, the batch entry point and the MC post-draw kernels must be
-// *bit-identical* to their scalar references on every backend, and the
-// dispatch seam must honour forced-scalar mode. These tests are the
-// contract that makes --simd and batching pure speed knobs.
+// loop (single widths and FailureModel's batched exact path) and the MC
+// post-draw kernels must be *bit-identical* to their scalar references on
+// every backend, and the dispatch seam must honour forced-scalar mode.
+// These tests are the contract that makes --simd and batching pure speed
+// knobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +25,6 @@
 #include "geom/interval.h"
 #include "kernels/dispatch.h"
 #include "kernels/mc_kernels.h"
-#include "kernels/pf_batch.h"
 #include "kernels/pf_terms_impl.h"
 #include "numeric/special.h"
 #include "obs/metrics.h"
@@ -39,7 +39,6 @@ namespace {
 
 using cny::cnt::pf_truncated;
 using cny::cnt::PitchModel;
-using cny::kernels::pf_truncated_batch;
 using cny::kernels::SimdMode;
 
 /// Sets the process-wide SIMD mode, restoring the previous one on scope
@@ -66,20 +65,20 @@ cny::cnt::PfKernelResult pf_scalar_reference(const PitchModel& pitch,
   return pf_truncated(pitch, width, z, rel_tol, n_threads);
 }
 
-/// Exact-bits comparison of a batch against per-width scalar calls.
-void expect_batch_matches_scalar(const PitchModel& pitch,
-                                 const std::vector<double>& widths, double z,
-                                 double rel_tol) {
-  const auto batch = pf_truncated_batch(pitch, widths, z, rel_tol);
-  ASSERT_EQ(batch.size(), widths.size());
+/// Exact-bits comparison of a set of widths, each evaluated under the
+/// current SIMD mode, against the scalar reference.
+void expect_widths_match_scalar(const PitchModel& pitch,
+                                const std::vector<double>& widths, double z,
+                                double rel_tol) {
   for (std::size_t i = 0; i < widths.size(); ++i) {
+    const auto got = pf_truncated(pitch, widths[i], z, rel_tol);
     const auto ref = pf_scalar_reference(pitch, widths[i], z, rel_tol);
-    EXPECT_EQ(bits_of(batch[i].value), bits_of(ref.value))
+    EXPECT_EQ(bits_of(got.value), bits_of(ref.value))
         << "value #" << i << " w=" << widths[i] << " z=" << z
         << " backend=" << cny::kernels::backend_name();
-    EXPECT_EQ(batch[i].terms, ref.terms)
+    EXPECT_EQ(got.terms, ref.terms)
         << "terms #" << i << " w=" << widths[i] << " z=" << z;
-    EXPECT_EQ(bits_of(batch[i].remainder_bound), bits_of(ref.remainder_bound))
+    EXPECT_EQ(bits_of(got.remainder_bound), bits_of(ref.remainder_bound))
         << "remainder #" << i << " w=" << widths[i] << " z=" << z;
   }
 }
@@ -102,7 +101,7 @@ TEST(PfBatch, BitIdenticalToScalarAcrossPitchesWidthsAndZ) {
     const PitchModel pitch(4.0, cv);
     for (const auto& widths : kWidthSets) {
       for (double z : {0.0, 0.2, 0.531, 0.9, 1.0}) {
-        expect_batch_matches_scalar(pitch, widths, z, 1e-14);
+        expect_widths_match_scalar(pitch, widths, z, 1e-14);
       }
     }
   }
@@ -113,19 +112,26 @@ TEST(PfBatch, BitIdenticalUnderForcedScalarDispatch) {
   ASSERT_STREQ(cny::kernels::backend_name(), "scalar");
   const PitchModel pitch(4.0, 0.9);
   for (const auto& widths : kWidthSets) {
-    expect_batch_matches_scalar(pitch, widths, 0.531, 1e-14);
+    expect_widths_match_scalar(pitch, widths, 0.531, 1e-14);
   }
 }
 
 TEST(PfBatch, SimdAndScalarModesAgreeBitForBit) {
   // The acceptance criterion stated directly: whatever the host supports,
-  // --simd=off and --simd=auto produce the same bytes.
+  // --simd=off and --simd=auto produce the same bytes — per width, and
+  // through FailureModel::p_f_exact_batch (one memo probe, then the
+  // misses) on a fresh model per mode.
   const PitchModel pitch(4.0, 0.9);
   const std::vector<double> widths = {1.5, 20.0, 36.0, 52.0, 80.0, 155.0};
+  const auto evaluate = [&](double z) {
+    std::vector<cny::cnt::PfKernelResult> out;
+    for (const double w : widths) out.push_back(pf_truncated(pitch, w, z));
+    return out;
+  };
   for (double z : {0.0, 0.2, 0.531, 0.9}) {
-    const auto auto_mode = pf_truncated_batch(pitch, widths, z);
+    const auto auto_mode = evaluate(z);
     ModeGuard guard(SimdMode::Off);
-    const auto off_mode = pf_truncated_batch(pitch, widths, z);
+    const auto off_mode = evaluate(z);
     for (std::size_t i = 0; i < widths.size(); ++i) {
       EXPECT_EQ(bits_of(auto_mode[i].value), bits_of(off_mode[i].value));
       EXPECT_EQ(auto_mode[i].terms, off_mode[i].terms);
@@ -133,17 +139,32 @@ TEST(PfBatch, SimdAndScalarModesAgreeBitForBit) {
                 bits_of(off_mode[i].remainder_bound));
     }
   }
+  std::vector<std::vector<double>> batched;
+  for (SimdMode mode : {SimdMode::Auto, SimdMode::Off}) {
+    ModeGuard guard(mode);
+    const cny::device::FailureModel model(pitch, cny::cnt::fig21_mid());
+    batched.push_back(model.p_f_exact_batch(widths));
+  }
+  for (std::size_t i = 0; i < widths.size(); ++i) {
+    EXPECT_EQ(bits_of(batched[0][i]), bits_of(batched[1][i])) << widths[i];
+    EXPECT_EQ(bits_of(batched[0][i]),
+              bits_of(pf_scalar_reference(pitch, widths[i],
+                                          cny::cnt::fig21_mid().p_fail(),
+                                          cny::cnt::kPfRelTol)
+                          .value))
+        << widths[i];
+  }
 }
 
 TEST(PfBatch, ExtremeTolerancesAndWideWindowFallback) {
   const PitchModel pitch(4.0, 0.9);
   for (double rel_tol : {1e-4, 1e-15}) {
-    expect_batch_matches_scalar(pitch, {12.0, 47.0, 90.0, 130.0}, 0.7,
+    expect_widths_match_scalar(pitch, {12.0, 47.0, 90.0, 130.0}, 0.7,
                                 rel_tol);
   }
   // width/θ ≥ 650 (θ = 4·0.81 = 3.24 → width ≥ 2106) rides the gamma_q
   // fallback; batching must still hold bit-identity via the scalar path.
-  expect_batch_matches_scalar(pitch, {2200.0, 30.0, 2500.0, 45.0}, 0.5,
+  expect_widths_match_scalar(pitch, {2200.0, 30.0, 2500.0, 45.0}, 0.5,
                               1e-12);
 }
 
@@ -470,8 +491,8 @@ TEST(McKernels, ChipYieldBitEqualAcrossSimdModesAndThreads) {
 }
 
 TEST(Kernels, RunFlowResponseByteIdenticalAcrossSimdModes) {
-  // The end-to-end acceptance pin: a full run_flow — solver iterations,
-  // interpolant build, circuit-yield verification, conditional MC — must
+  // The end-to-end acceptance pin: a full run_flow — interpolant build,
+  // solver iterations, circuit-yield verification, conditional MC — must
   // produce the *same bytes* on the wire whichever backend ran the
   // kernels. A fresh model per mode keeps the memo from hiding a
   // divergent kernel behind a warm cache.
@@ -481,16 +502,16 @@ TEST(Kernels, RunFlowResponseByteIdenticalAcrossSimdModes) {
   params.mc_samples = 400;
   params.seed = 7;
   params.n_threads = 2;
-  params.use_interpolant = true;
-  params.interpolant_knots = 33;
 
   std::vector<std::string> encoded;
   for (SimdMode mode : {SimdMode::Auto, SimdMode::Off}) {
     ModeGuard guard(mode);
     const cny::device::FailureModel model(PitchModel(4.0, 0.9),
                                           cny::cnt::fig21_mid());
+    const auto warm =
+        cny::yield::warm_model(model, params.scenario, 33, params.n_threads);
     encoded.push_back(cny::service::encode_flow_response(
-        cny::yield::run_flow(lib, design, model, params)));
+        cny::yield::run_flow(lib, design, warm, params)));
   }
   EXPECT_EQ(encoded[0], encoded[1]);
 }
@@ -504,7 +525,6 @@ TEST(Kernels, ExactRunFlowResponseByteIdenticalAcrossSimdModes) {
   params.mc_samples = 400;
   params.seed = 7;
   params.n_threads = 2;
-  params.use_interpolant = false;
 
   std::vector<std::string> encoded;
   for (SimdMode mode : {SimdMode::Auto, SimdMode::Off}) {
@@ -519,8 +539,7 @@ TEST(Kernels, ExactRunFlowResponseByteIdenticalAcrossSimdModes) {
 
 // Backend accounting must balance: every exact single-width term loop is
 // booked once, as either a SIMD or a scalar width — on *both* backends
-// (forced-scalar books everything scalar). The batch entry point books
-// its call and widths on top.
+// (forced-scalar books everything scalar).
 TEST(Kernels, BackendWidthCountersBalanceOnEveryBackend) {
   auto& registry = cny::obs::Registry::global();
   const PitchModel pitch(4.0, 0.9);
@@ -536,16 +555,11 @@ TEST(Kernels, BackendWidthCountersBalanceOnEveryBackend) {
       }
       return std::uint64_t{0};
     };
-    const std::uint64_t calls0 = counter("kernels.pf_batch_calls");
-    const std::uint64_t widths0 = counter("kernels.pf_batch_widths");
     const std::uint64_t simd0 = counter("kernels.pf_simd_widths");
     const std::uint64_t scalar0 = counter("kernels.pf_scalar_widths");
 
-    (void)pf_truncated_batch(pitch, widths, 0.531, 1e-12);
+    for (const double w : widths) (void)pf_truncated(pitch, w, 0.531, 1e-12);
 
-    EXPECT_EQ(registry.counter("kernels.pf_batch_calls").value(), calls0 + 1);
-    EXPECT_EQ(registry.counter("kernels.pf_batch_widths").value(),
-              widths0 + widths.size());
     const std::uint64_t simd =
         registry.counter("kernels.pf_simd_widths").value() - simd0;
     const std::uint64_t scalar =

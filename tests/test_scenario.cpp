@@ -20,7 +20,9 @@
 
 #include "celllib/generator.h"
 #include "cnt/removal_tradeoff.h"
+#include "exec/thread_pool.h"
 #include "netlist/design_generator.h"
+#include "obs/metrics.h"
 #include "scenario/engine.h"
 #include "service/protocol.h"
 #include "util/contracts.h"
@@ -106,18 +108,19 @@ TEST(ScenarioEngine, EmptySpecMatchesPreScenarioGoldenValuesBitExactly) {
 }
 
 TEST(ScenarioEngine, EmptySpecBatchMatchesSoloBitExactly) {
+  // The exact batch shape (cntyield_cli batch --no-interp): concurrent
+  // run_flow calls on one shared exact model.
   const auto model = paper_model();
-  yield::FlowJob job;
-  job.design = &design();
-  job.params = small_params();
-  yield::BatchParams batch;
-  batch.n_threads = 1;
-  batch.share_interpolant = false;
-  const auto results = yield::run_flow_batch(library(), {job}, model, batch);
-  ASSERT_EQ(results.size(), 1u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    expect_strategy_bits_equal(results[0].strategies[i],
-                               base_result().strategies[i]);
+  const std::vector<yield::FlowParams> jobs(2, small_params());
+  std::vector<yield::FlowResult> results(jobs.size());
+  exec::parallel_for(jobs.size(), 2, [&](std::size_t j) {
+    results[j] = yield::run_flow(library(), design(), model, jobs[j]);
+  });
+  for (const auto& result : results) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      expect_strategy_bits_equal(result.strategies[i],
+                                 base_result().strategies[i]);
+    }
   }
 }
 
@@ -224,19 +227,34 @@ TEST(ScenarioEngine, BatchSharesOneModelPerDerivedCornerAndMatchesSolo) {
   const auto model = paper_model();
   const scenario::RemovalFrontier removal{5.0, 0.999};
 
-  std::vector<yield::FlowJob> jobs(3);
-  for (auto& job : jobs) {
-    job.design = &design();
-    job.params = small_params();
-  }
-  jobs[1].params.scenario.removal = removal;
-  jobs[2].params.scenario.removal = removal;  // same derived corner as [1]
+  std::vector<yield::FlowParams> jobs(3, small_params());
+  jobs[1].scenario.removal = removal;
+  jobs[2].scenario.removal = removal;  // same derived corner as [1]
 
-  yield::BatchParams batch;
-  batch.n_threads = 1;
-  batch.share_interpolant = true;
-  const auto results = yield::run_flow_batch(library(), jobs, model, batch);
-  ASSERT_EQ(results.size(), 3u);
+  // One warm model per distinct derived corner, shared by its jobs. The
+  // own-corner model is a copy, so the caller's memo carries over.
+  (void)model.p_f_exact(500.0);
+  const auto own = yield::warm_model(model, jobs[0].scenario, 65, 1);
+  const auto derived = yield::warm_model(model, jobs[1].scenario, 65, 1);
+  EXPECT_EQ(own.process().p_remove_s, model.process().p_remove_s);
+  EXPECT_EQ(derived.process().p_remove_s,
+            scenario::derived_process(model.process(), jobs[2].scenario)
+                .p_remove_s);
+  EXPECT_FALSE(model.interpolation_covers(100.0));
+  auto& registry = obs::Registry::global();
+  const auto kernel_widths = [&registry] {
+    return registry.counter("kernels.pf_simd_widths").value() +
+           registry.counter("kernels.pf_scalar_widths").value();
+  };
+  const std::uint64_t before = kernel_widths();
+  (void)own.p_f_exact(500.0);
+  EXPECT_EQ(kernel_widths(), before) << "own-corner memo was not carried over";
+  const std::vector<const device::FailureModel*> job_models = {
+      &own, &derived, &derived};
+  std::vector<yield::FlowResult> results(jobs.size());
+  exec::parallel_for(jobs.size(), 1, [&](std::size_t j) {
+    results[j] = yield::run_flow(library(), design(), *job_models[j], jobs[j]);
+  });
 
   // Identical jobs on the shared corner model are identical outputs.
   for (std::size_t i = 0; i < 4; ++i) {
@@ -244,12 +262,11 @@ TEST(ScenarioEngine, BatchSharesOneModelPerDerivedCornerAndMatchesSolo) {
                                results[2].strategies[i]);
   }
 
-  // Each batched job equals its solo run_flow twin with the same
-  // interpolant policy (same bracket, same knots -> same table).
+  // Each batched job equals its solo run_flow twin on its own warm model
+  // (same bracket, same knots -> same table).
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    auto params = jobs[j].params;
-    params.use_interpolant = true;
-    const auto solo = yield::run_flow(library(), design(), model, params);
+    const auto solo_model = yield::warm_model(model, jobs[j].scenario, 65, 1);
+    const auto solo = yield::run_flow(library(), design(), solo_model, jobs[j]);
     for (std::size_t i = 0; i < 4; ++i) {
       expect_strategy_bits_equal(results[j].strategies[i],
                                  solo.strategies[i]);

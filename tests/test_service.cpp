@@ -607,6 +607,42 @@ TEST(ServiceSession, WarmRunFlowEvaluatesNoExactPf) {
   }
 }
 
+// A session's model is yield::warm_model's: a RemovalFrontier request run on
+// Session(key).model() and on warm_model(base, scenario, 65, n) — the
+// request's stated corner, moved to the derived one — encodes to the same
+// response bytes.
+TEST(ServiceSession, ModelMatchesWarmModelAtDerivedCorner) {
+  FlowRequest request = small_request(13, 0.9);
+  request.params.scenario.removal = cny::scenario::RemovalFrontier{5.0, 0.999};
+  yield::FlowParams params = request.params;
+  params.n_threads = 1;
+
+  const service::Session session(service::session_key(request), 65, 1);
+  const auto session_response = service::encode_flow_response(
+      yield::run_flow(session.library(), *session.design(0), session.model(),
+                      params));
+
+  cnt::ProcessParams process;
+  process.p_metallic = request.process.p_metallic;
+  process.p_remove_s = request.process.p_remove_s;
+  const device::FailureModel base(
+      cnt::PitchModel(request.process.pitch_mean_nm, request.process.pitch_cv),
+      process);
+  const auto warm = yield::warm_model(base, request.params.scenario, 65, 2);
+  ASSERT_NE(warm.process().p_remove_s, base.process().p_remove_s);
+  const yield::WminRequest bracket;
+  for (const double w : {bracket.w_lo, bracket.w_hi}) {
+    EXPECT_TRUE(warm.interpolation_covers(w)) << w;
+    EXPECT_TRUE(session.model().interpolation_covers(w)) << w;
+  }
+  EXPECT_FALSE(base.interpolation_covers(100.0));
+  const auto lib = celllib::make_nangate45_like();
+  const auto design = netlist::make_openrisc_like(lib);
+  EXPECT_EQ(service::encode_flow_response(
+                yield::run_flow(lib, design, warm, params)),
+            session_response);
+}
+
 // --- TCP transport ---------------------------------------------------------
 
 TEST(ServiceServer, TcpEndToEndOnEphemeralPort) {

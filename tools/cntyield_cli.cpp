@@ -8,7 +8,7 @@
 //                        [--mc-samples=20000] [--streams=16] [--seed=1]
 //                        [--scenario=shorts,length,removal + mechanism flags]
 //   cntyield_cli batch   [--yields=0.80,0.90,0.95] [--no-interp]
-//                        (yield-target sweep through run_flow_batch)
+//                        (yield-target sweep on one warm p_F table)
 //   cntyield_cli scenarios [--points=6] [--selectivity=4.24]
 //                        [--prm-lo=0.99] [--prm-hi=0.9999999] [--with-shorts]
 //                        [--via-service] (removal-frontier sweep end-to-end;
@@ -305,20 +305,28 @@ int cmd_batch(const util::Cli& cli) {
     return 2;
   }
 
-  std::vector<yield::FlowJob> jobs;
+  std::vector<yield::FlowParams> jobs;
   for (double y : yields) {
-    yield::FlowJob job;
-    job.design = &design;
-    job.params = base;
-    job.params.yield_desired = y;
-    jobs.push_back(job);
+    auto params = base;
+    params.yield_desired = y;
+    // Fail on the named parameter before the table is built.
+    yield::validate(params);
+    jobs.push_back(params);
   }
-  yield::BatchParams batch;
-  batch.n_threads = resolve_threads(cli);
-  batch.share_interpolant = !cli.has("no-interp");
+  const unsigned n_threads = resolve_threads(cli);
+  const bool shared = !cli.has("no-interp");
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto results = yield::run_flow_batch(lib, jobs, model, batch);
+  // One warm model for the sweep: every job shares base's scenario, so
+  // every job lands on the same derived corner and table.
+  const auto sweep_model =
+      shared ? yield::warm_model(model, base.scenario, 65, n_threads)
+             : device::FailureModel(model);
+  // Job-indexed slots: scheduling cannot change any result.
+  std::vector<yield::FlowResult> results(jobs.size());
+  exec::parallel_for(jobs.size(), n_threads, [&](std::size_t i) {
+    results[i] = yield::run_flow(lib, design, sweep_model, jobs[i]);
+  });
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
@@ -339,7 +347,7 @@ int cmd_batch(const util::Cli& cli) {
   std::cout << t.to_text();
   std::printf("%zu designs x 4 strategies in %lld ms (%s p_F interpolant)\n",
               results.size(), static_cast<long long>(ms),
-              batch.share_interpolant ? "shared" : "no shared");
+              shared ? "shared" : "no shared");
   return 0;
 }
 

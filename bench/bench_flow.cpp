@@ -92,9 +92,9 @@ BENCHMARK(BM_FlowBatchSweep)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Single-design run_flow: Arg 0 = exact p_F per solver query, Arg 1 = one
-// 65-knot table up front (yield::warm_model), answered from the snapshot
-// after.
+// Single-design run_flow: Arg 0 = exact p_F per solver query, Arg 1 = a
+// 65-knot yield::warm_model table, whose knots the flow's solves fill on
+// first use and then read from the snapshot.
 void BM_SingleFlowInterpolant(benchmark::State& state) {
   static const cny::celllib::Library lib = cny::celllib::make_nangate45_like();
   static const cny::netlist::Design design =

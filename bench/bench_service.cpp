@@ -11,8 +11,9 @@
 //     model. Must be at least as fast (the CI bench-smoke job asserts it).
 //
 // BM_ServiceSessionWarmup prices what the session cache amortises: the
-// library + model + interpolant build every client would otherwise pay
-// cold. BM_ServicePingRoundTrip is the protocol-overhead floor.
+// library + model + interpolant install every client would otherwise pay
+// cold, plus one p_F read that fills the table knots of its segment.
+// BM_ServicePingRoundTrip is the protocol-overhead floor.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>

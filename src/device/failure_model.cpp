@@ -5,7 +5,7 @@
 #include <mutex>
 
 #include "cnt/pf_kernel.h"
-#include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "util/contracts.h"
 
 namespace cny::device {
@@ -18,6 +18,21 @@ auto memo_find(std::vector<std::pair<double, double>>& memo, double width) {
   return std::lower_bound(
       memo.begin(), memo.end(), width,
       [](const std::pair<double, double>& e, double w) { return e.first < w; });
+}
+
+/// Interpolant work (obs::Registry::global()): knots filled with an exact
+/// evaluation, and tables whose locality certificate failed somewhere, so
+/// that they took whole-table tangents.
+obs::Counter& knots_filled_counter() {
+  static auto& counter =
+      obs::Registry::global().counter("device.interp_knots_filled");
+  return counter;
+}
+
+obs::Counter& fallbacks_counter() {
+  static auto& counter =
+      obs::Registry::global().counter("device.interp_fallbacks");
+  return counter;
 }
 
 }  // namespace
@@ -45,17 +60,32 @@ std::shared_ptr<const FailureModel::LogPfInterp> FailureModel::interpolant()
   return interp_.load(std::memory_order_acquire);
 }
 
+double FailureModel::interpolate(const LogPfInterp& interp, double width,
+                                 unsigned n_threads) const {
+  numeric::LazyMonotoneCubic::Filled filled;
+  const double log_pf = interp.log_pf(
+      width,
+      [this, n_threads](double knot) {
+        return std::log(p_f_exact(knot, n_threads));
+      },
+      &filled);
+  if (filled.knots != 0) knots_filled_counter().add(filled.knots);
+  if (filled.fallback) fallbacks_counter().add();
+  return std::exp(log_pf);
+}
+
 double FailureModel::p_f(double width, unsigned n_threads) const {
   CNY_EXPECT(width >= 0.0);
   // Hottest read path in the solvers: a relaxed flag probe, then (only
   // with a table installed) one atomic shared_ptr load — no lock either
-  // way. Concurrent enable_interpolation() publishes a fully built table
-  // before raising the flag, so a snapshot is always safe to evaluate;
-  // racing readers that miss the flag simply take the exact path.
+  // way. Concurrent enable_interpolation() publishes a whole table before
+  // raising the flag, so a snapshot is always safe to read (its knot slots
+  // publish themselves); racing readers that miss the flag simply take
+  // the exact path.
   if (has_interp_.load(std::memory_order_relaxed)) {
     if (const auto interp = interp_.load(std::memory_order_acquire);
         interp && width >= interp->w_lo && width <= interp->w_hi) {
-      return std::exp(interp->log_pf(width));
+      return interpolate(*interp, width, n_threads);
     }
   }
   return p_f_exact(width, n_threads);
@@ -132,7 +162,7 @@ std::vector<double> FailureModel::p_f_batch(
   for (std::size_t i = 0; i < widths.size(); ++i) {
     CNY_EXPECT(widths[i] >= 0.0);
     if (interp && widths[i] >= interp->w_lo && widths[i] <= interp->w_hi) {
-      out[i] = std::exp(interp->log_pf(widths[i]));
+      out[i] = interpolate(*interp, widths[i], interp->n_threads);
     } else {
       exact_idx.push_back(i);
       exact_w.push_back(widths[i]);
@@ -160,20 +190,16 @@ void FailureModel::enable_interpolation(double w_lo, double w_hi,
   // truncated kernel still walks O(p_f·W/μ_S) terms), while log p_F(W) is
   // nearly linear at large W (Fig 2.1) — so spend the knots where they are
   // cheap AND where the curvature lives.
-  std::vector<double> xs(knots), ys(knots);
+  std::vector<double> xs(knots);
   const double ratio = w_hi / w_lo;
   for (std::size_t i = 0; i < knots; ++i) {
     xs[i] = w_lo * std::pow(ratio, static_cast<double>(i) /
                                        static_cast<double>(knots - 1));
   }
   xs.back() = w_hi;  // guard against pow() rounding shrinking the range
-  // One exact evaluation per knot, knots spread across threads (each
-  // kernel call runs its node lanes on the thread that claims the knot).
-  exec::parallel_for(knots, n_threads, [&](std::size_t i) {
-    ys[i] = std::log(p_f_exact(xs[i]));
-  });
-  auto built = std::make_shared<const LogPfInterp>(
-      LogPfInterp{w_lo, w_hi, numeric::MonotoneCubic(std::move(xs), std::move(ys))});
+  // Nothing is evaluated here: the first reads fill the knots they need.
+  auto built =
+      std::make_shared<const LogPfInterp>(w_lo, w_hi, n_threads, std::move(xs));
   // If a racing builder already installed a table covering this request,
   // keep it; otherwise publish ours so the requested range is served.
   // (One table at a time: a later call for a different range replaces it.)
@@ -185,6 +211,11 @@ void FailureModel::enable_interpolation(double w_lo, double w_hi,
     }
   }
   has_interp_.store(true, std::memory_order_release);
+}
+
+std::vector<double> FailureModel::interpolation_knots() const {
+  const auto interp = interpolant();
+  return interp ? interp->log_pf.knots() : std::vector<double>{};
 }
 
 bool FailureModel::interpolation_covers(double width) const {

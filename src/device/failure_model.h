@@ -33,7 +33,10 @@ class FailureModel {
   FailureModel(cnt::PitchModel pitch, cnt::ProcessParams process);
 
   // The memo cache and interpolant are internally synchronised, so a
-  // member-wise default copy is not available; copies share nothing.
+  // member-wise default copy is not available. Copies share the immutable
+  // interpolant and its knot slots (a knot one of them fills is filled for
+  // all: they sit at one corner, so the values are the same bits) and take
+  // a snapshot of the memo.
   // Assignment is deleted on purpose: pitch/process are immutable after
   // construction, which is what makes their lock-free reads on the hot
   // p_f path safe under concurrency.
@@ -48,9 +51,10 @@ class FailureModel {
   /// solvers re-query the same widths. The read path is lock-light so
   /// concurrent solver threads never serialise: when interpolation is
   /// enabled and `width` falls inside its range, an atomically loaded
-  /// interpolant snapshot answers with no lock at all; otherwise the memo
-  /// is consulted under a shared (reader) lock. `n_threads` is passed to
-  /// the exact kernel on a memo miss (see p_f_exact).
+  /// interpolant snapshot answers with no lock at all once the knots of
+  /// its segment are filled; otherwise the memo is consulted under a
+  /// shared (reader) lock. `n_threads` is passed to the exact kernel on a
+  /// memo miss (see p_f_exact), and so to the knot fills of a first read.
   [[nodiscard]] double p_f(double width, unsigned n_threads = 1) const;
 
   /// Always the analytic evaluation (the certified-truncation PGF kernel,
@@ -62,9 +66,10 @@ class FailureModel {
 
   /// Batched p_f(): one result per width, each bit-identical to the
   /// corresponding scalar p_f(width) call. Interpolant-covered widths read
-  /// the table; the remaining exact evaluations of one call share one memo
-  /// probe, run cnt::pf_truncated per miss, and land in the memo under one
-  /// lock.
+  /// the table (knot fills run on the table's `n_threads`, see
+  /// enable_interpolation); the remaining exact evaluations of one call
+  /// share one memo probe, run cnt::pf_truncated per miss, and land in the
+  /// memo under one lock.
   [[nodiscard]] std::vector<double> p_f_batch(
       std::span<const double> widths) const;
 
@@ -73,17 +78,25 @@ class FailureModel {
   [[nodiscard]] std::vector<double> p_f_exact_batch(
       std::span<const double> widths) const;
 
-  /// Builds (first call) a monotone-cubic interpolant of log p_F over
-  /// geometrically spaced knots in [w_lo, w_hi] and routes subsequent
-  /// in-range p_f() queries through it. One table build (`knots` exact
-  /// evaluations, parallelised over `n_threads`) replaces the per-strategy
-  /// per-design re-evaluation cost in batched flows; geometric spacing
-  /// concentrates knots at small W, where the exact evaluation is cheap and
-  /// log p_F actually curves. Thread-safe and idempotent: later calls with
-  /// a range already covered are no-ops, and readers racing the build
-  /// simply fall back to the exact path.
+  /// Installs (first call) a monotone-cubic interpolant of log p_F over
+  /// `knots` geometrically spaced knots in [w_lo, w_hi] and routes
+  /// subsequent in-range p_f() queries through it. Installing evaluates
+  /// nothing: each knot is filled with one exact evaluation on first use,
+  /// and a query fills only the knots its segment reads (at most six), so
+  /// a sweep pays for the part of the table its solves visit. Every value
+  /// is bit-identical to a table built from all knots up front
+  /// (numeric::LazyMonotoneCubic). Geometric spacing concentrates knots at
+  /// small W, where the exact evaluation is cheap and log p_F actually
+  /// curves. `n_threads` (0 = hardware concurrency) shards the kernel of
+  /// the knot fills p_f_batch makes. Thread-safe and idempotent: later
+  /// calls with a range already covered are no-ops, and a different range
+  /// replaces the table.
   void enable_interpolation(double w_lo, double w_hi, std::size_t knots = 65,
                             unsigned n_threads = 1) const;
+
+  /// The installed interpolant's knot abscissae, ascending (empty when none
+  /// is installed).
+  [[nodiscard]] std::vector<double> interpolation_knots() const;
 
   /// Whether an interpolant is installed (and, if so, covering `width`).
   [[nodiscard]] bool interpolation_covers(double width) const;
@@ -111,12 +124,21 @@ class FailureModel {
 
  private:
   struct LogPfInterp {
-    double w_lo = 0.0;
-    double w_hi = 0.0;
-    numeric::MonotoneCubic log_pf;
+    LogPfInterp(double lo, double hi, unsigned threads,
+                std::vector<double> knots)
+        : w_lo(lo), w_hi(hi), n_threads(threads), log_pf(std::move(knots)) {}
+
+    double w_lo;
+    double w_hi;
+    unsigned n_threads;  ///< kernel threads of p_f_batch's knot fills
+    numeric::LazyMonotoneCubic log_pf;
   };
 
   [[nodiscard]] std::shared_ptr<const LogPfInterp> interpolant() const;
+  /// p_F(width) read off `interp` (width inside its range), filling the
+  /// knots the read needs with exact evaluations on `n_threads`.
+  [[nodiscard]] double interpolate(const LogPfInterp& interp, double width,
+                                   unsigned n_threads) const;
 
   cnt::PitchModel pitch_;
   cnt::ProcessParams process_;

@@ -86,8 +86,9 @@ Session::Session(SessionKey key, std::size_t interpolant_knots,
       canonical_(key_.canonical()),
       lib_(make_library(key_.library)),
       // Warm over the whole solver bracket: every p_F query any strategy of
-      // any request makes lands inside it, so after this one build the hot
-      // read path is the lock-free interpolant snapshot.
+      // any request makes lands inside it, so the hot read path is the
+      // lock-free interpolant snapshot. Warming only installs the table;
+      // the first flows fill the few knots their solves read.
       model_(make_warm_model(key_.process, canonical_, interpolant_knots,
                              n_threads, trace, build_histogram)) {}
 

@@ -49,12 +49,12 @@ struct SessionKey {
 class Session {
  public:
   /// Generates the library and warms the model through yield::warm_model:
-  /// the log-p_F interpolant is built over the full W_min solver bracket
-  /// with `interpolant_knots` knots on `n_threads` threads (0 = hardware
-  /// concurrency). The optional
-  /// observability hooks time the interpolant build (an
-  /// "interpolant_build" span + histogram) — pure measurement, never
-  /// behaviour.
+  /// the log-p_F interpolant is installed over the full W_min solver
+  /// bracket with `interpolant_knots` knots, and the session's first flows
+  /// fill the knots they read (`n_threads`, 0 = hardware concurrency, is
+  /// the kernel parallelism of the fills batched reads make). The optional
+  /// observability hooks time the warm-up (an "interpolant_build" span +
+  /// histogram) — pure measurement, never behaviour.
   Session(SessionKey key, std::size_t interpolant_knots, unsigned n_threads,
           obs::TraceSink* trace = nullptr,
           obs::Histogram* build_histogram = nullptr);

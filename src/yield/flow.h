@@ -107,10 +107,13 @@ struct FlowResult {
 /// model at the corner scenario::derived_process gives for `scenario` —
 /// a copy of `base` when that is base's own corner, so its memo carries
 /// over, else a fresh model there — with the log-p_F interpolant installed
-/// over the W_min solver bracket (WminRequest{}'s [w_lo, w_hi]; `knots`
-/// exact evaluations on `n_threads` threads, 0 = hardware concurrency).
-/// run_flow on it trades exactness for throughput: W_min shifts by the
-/// interpolation error (~1e-4 nm at 65 knots). `base` is never modified.
+/// over the W_min solver bracket (WminRequest{}'s [w_lo, w_hi], `knots`
+/// knots). Warming installs the table and evaluates nothing; the first
+/// flows on the model fill the knots their reads need, on the flow's own
+/// n_threads (batched circuit-yield reads on `n_threads`, 0 = hardware
+/// concurrency; see FailureModel::enable_interpolation). run_flow on it
+/// trades exactness for throughput: W_min shifts by the interpolation error
+/// (~1e-4 nm at 65 knots). `base` is never modified.
 [[nodiscard]] device::FailureModel warm_model(
     const device::FailureModel& base, const scenario::ScenarioSpec& scenario,
     std::size_t knots, unsigned n_threads);

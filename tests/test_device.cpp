@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <thread>
 #include <vector>
 
 #include "cnt/count_distribution.h"
 #include "device/failure_model.h"
+#include "numeric/interp.h"
+#include "obs/metrics.h"
 #include "rng/engine.h"
 #include "util/contracts.h"
+#include "yield/wmin_solver.h"
 
 namespace {
 
@@ -170,6 +177,107 @@ TEST(FailureModel, LockLightReadPathSurvivesThreadHammer) {
   EXPECT_FALSE(failed.load());
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(model.p_f_exact(widths[i]), exact_ref[i]);
+  }
+}
+
+// ------------------------------------------------ lazily filled interpolant
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Widths over the solver bracket, every knot among them, in shuffled order.
+std::vector<double> shuffled_widths(const std::vector<double>& knots,
+                                    std::size_t n, std::uint64_t seed) {
+  std::vector<double> ws = knots;
+  const double lo = knots.front(), hi = knots.back();
+  for (std::size_t i = 0; i < n; ++i) {
+    ws.push_back(lo + (hi - lo) * static_cast<double>(i) /
+                          static_cast<double>(n - 1));
+  }
+  std::shuffle(ws.begin(), ws.end(), std::mt19937_64(seed));
+  return ws;
+}
+
+/// The eager table over the same exact knots the lazy one fills.
+cny::numeric::MonotoneCubic eager_table(const FailureModel& model) {
+  std::vector<double> xs = model.interpolation_knots();
+  std::vector<double> ys;
+  for (const double x : xs) ys.push_back(std::log(model.p_f_exact(x)));
+  return {std::move(xs), std::move(ys)};
+}
+
+TEST(LazyInterpolant, MatchesEagerTableAtEveryCampaignCorner) {
+  // The campaign corners (pitch CV x p_m at μ_S = 4 nm, p_Rs = 0.30): a
+  // lazily filled table reads exactly what a table built from all its
+  // knots up front reads, and no read there needs the fallback.
+  auto& fallbacks =
+      cny::obs::Registry::global().counter("device.interp_fallbacks");
+  const std::uint64_t fallbacks_before = fallbacks.value();
+  const cny::yield::WminRequest bracket;
+  for (const double cv : {0.80, 0.85, 0.90, 0.95}) {
+    for (const double p_m : {0.30, 0.33, 0.36}) {
+      ProcessParams process;
+      process.p_metallic = p_m;
+      process.p_remove_s = 0.30;
+      const FailureModel model(PitchModel(4.0, cv), process);
+      model.enable_interpolation(bracket.w_lo, bracket.w_hi, 65, 1);
+      const auto widths =
+          shuffled_widths(model.interpolation_knots(), 200, 7);
+      std::vector<double> lazy;
+      for (const double w : widths) lazy.push_back(model.p_f(w));
+      const auto eager = eager_table(model);
+      for (std::size_t i = 0; i < widths.size(); ++i) {
+        ASSERT_EQ(bits(lazy[i]), bits(std::exp(eager(widths[i]))))
+            << "cv=" << cv << " p_m=" << p_m << " W=" << widths[i];
+      }
+    }
+  }
+  EXPECT_EQ(fallbacks.value(), fallbacks_before);
+}
+
+TEST(LazyInterpolant, RacingFirstReadsPublishIdenticalBytes) {
+  // Four threads make the first reads of the same segments at once, half
+  // of them through a copy taken before any knot was filled (copies share
+  // the table's knot slots). Every answer, and every later read of either
+  // model, has the bits of a serially filled table.
+  const cny::yield::WminRequest bracket;
+  const FailureModel reference = paper_model();
+  reference.enable_interpolation(bracket.w_lo, bracket.w_hi, 65, 1);
+  const FailureModel model = paper_model();
+  model.enable_interpolation(bracket.w_lo, bracket.w_hi, 65, 1);
+  const FailureModel copy(model);
+
+  std::vector<double> widths;
+  for (double w = 60.0; w <= 220.0; w += 2.5) widths.push_back(w);
+  std::vector<double> expected;
+  for (const double w : widths) expected.push_back(reference.p_f(w));
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<double>> seen(kThreads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const FailureModel& m = (t % 2 == 0) ? model : copy;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      if (t < 2) {
+        for (const double w : widths) seen[t].push_back(m.p_f(w));
+      } else {
+        seen[t] = m.p_f_batch(widths);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen[t].size(), widths.size());
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+      EXPECT_EQ(bits(seen[t][i]), bits(expected[i]))
+          << "thread " << t << " W=" << widths[i];
+    }
+  }
+  for (std::size_t i = 0; i < widths.size(); ++i) {
+    EXPECT_EQ(bits(model.p_f(widths[i])), bits(expected[i]));
+    EXPECT_EQ(bits(copy.p_f(widths[i])), bits(expected[i]));
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "celllib/generator.h"
 #include "netlist/design_generator.h"
+#include "obs/metrics.h"
 #include "yield/flow.h"
 
 namespace {
@@ -61,6 +62,30 @@ TEST(FlowSmoke, InterpolantOptInTracksExactFlow) {
                 1e-3)
         << "strategy " << yield::to_string(interp.strategies[i].strategy);
   }
+}
+
+TEST(FlowSmoke, WarmFlowFillsFewerThanHalfTheKnots) {
+  // Warming installs the 65-knot table and evaluates nothing; a paper
+  // flow's solves then read a handful of segments around W_min, and only
+  // their knots get an exact evaluation.
+  auto& registry = cny::obs::Registry::global();
+  auto& filled = registry.counter("device.interp_knots_filled");
+  auto& fallbacks = registry.counter("device.interp_fallbacks");
+  const auto lib = celllib::make_nangate45_like();
+  const auto design = netlist::make_openrisc_like(lib);
+  const device::FailureModel model(cnt::PitchModel(4.0, 0.9),
+                                   cnt::fig21_worst());
+  yield::FlowParams params;
+  params.mc_samples = 2000;
+  const std::uint64_t filled_before = filled.value();
+  const std::uint64_t fallbacks_before = fallbacks.value();
+  const auto warm = yield::warm_model(model, params.scenario, 65, 1);
+  EXPECT_EQ(filled.value(), filled_before) << "warming fills no knot";
+  (void)yield::run_flow(lib, design, warm, params);
+  const std::uint64_t knots = filled.value() - filled_before;
+  EXPECT_GT(knots, 0u);
+  EXPECT_LT(2 * knots, warm.interpolation_knots().size());
+  EXPECT_EQ(fallbacks.value(), fallbacks_before);
 }
 
 TEST(FlowSmoke, SummaryTableIsNonEmpty) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <random>
+#include <vector>
 
 #include "numeric/integrate.h"
 #include "numeric/interp.h"
@@ -202,6 +208,112 @@ TEST(Interp, DerivativeMatchesFiniteDifference) {
 TEST(Interp, RejectsNonIncreasingKnots) {
   EXPECT_THROW(MonotoneCubic({0.0, 0.0}, {1.0, 2.0}), cny::ContractViolation);
   EXPECT_THROW(MonotoneCubic({1.0}, {1.0}), cny::ContractViolation);
+}
+
+/// Queries a fresh LazyMonotoneCubic over `f` at `n` shuffled abscissae
+/// spanning a little beyond the knots, expecting the bits of the eager
+/// MonotoneCubic over the same samples; returns the summed fill work. Each
+/// segment is also read first on a table of its own, so that its own
+/// certificate decides, whatever the shuffle reads before it.
+LazyMonotoneCubic::Filled expect_lazy_matches_eager(
+    const std::vector<double>& xs, const std::function<double(double)>& f,
+    std::size_t n) {
+  std::vector<double> ys;
+  for (const double x : xs) ys.push_back(f(x));
+  const MonotoneCubic eager(xs, ys);
+  const LazyMonotoneCubic lazy(xs);
+  const double lo = xs.front(), hi = xs.back(), span = hi - lo;
+  std::vector<double> at;
+  for (std::size_t i = 0; i < n; ++i) {
+    at.push_back(lo - 0.01 * span +
+                 1.02 * span * static_cast<double>(i) /
+                     static_cast<double>(n - 1));
+  }
+  at.insert(at.end(), xs.begin(), xs.end());  // every knot itself
+  std::shuffle(at.begin(), at.end(), std::mt19937_64(20100613));
+  std::size_t fills = 0;
+  const LazyMonotoneCubic::Fill fill = [&](double x) {
+    ++fills;
+    return f(x);
+  };
+  LazyMonotoneCubic::Filled total;
+  for (const double x : at) {
+    LazyMonotoneCubic::Filled filled;
+    const double got = lazy(x, fill, &filled);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(eager(x)))
+        << "x=" << x << " lazy=" << got << " eager=" << eager(x);
+    if (!filled.fallback) {
+      EXPECT_LE(filled.knots, 6u) << "a certified read fills its stencil";
+    }
+    total.knots += filled.knots;
+    total.fallback = total.fallback || filled.fallback;
+  }
+  EXPECT_EQ(fills, total.knots) << "single-threaded: every fill publishes";
+  for (std::size_t k = 0; k + 1 < xs.size(); ++k) {
+    const double x = 0.5 * (xs[k] + xs[k + 1]);
+    const LazyMonotoneCubic first(xs);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(first(x, f)),
+              std::bit_cast<std::uint64_t>(eager(x)))
+        << "first read, segment " << k;
+  }
+  return total;
+}
+
+std::vector<double> geometric_knots(double lo, double hi, std::size_t n) {
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < n; ++i) {
+    xs.push_back(lo * std::pow(hi / lo, static_cast<double>(i) /
+                                            static_cast<double>(n - 1)));
+  }
+  return xs;
+}
+
+TEST(LazyInterp, SmoothDataMatchesEagerBitForBitWithoutFallback) {
+  // A log p_F(W)-like curve: steep and curved at small W, nearly linear
+  // at large W.
+  const auto xs = geometric_knots(4.0, 400.0, 65);
+  const auto f = [](double w) { return -0.06 * w - 2.0 * std::log1p(w); };
+  const auto total = expect_lazy_matches_eager(xs, f, 1500);
+  EXPECT_FALSE(total.fallback);
+  EXPECT_EQ(total.knots, xs.size());
+}
+
+TEST(LazyInterp, ClippingKinkFallsBackAndStillMatchesBitForBit) {
+  // A sharp bend makes the Fritsch–Carlson filter clip (the initial tangent
+  // at the bend is ~250x the secant before it): reads near it fail the
+  // locality certificate, the table falls back to whole-table tangents,
+  // and values stay exact.
+  std::vector<double> xs;
+  for (int i = 0; i < 40; ++i) xs.push_back(static_cast<double>(i));
+  const auto kink = [](double x) {
+    return x < 20.0 ? 0.01 * x : 0.19 + 5.0 * (x - 19.0);
+  };
+  const auto total = expect_lazy_matches_eager(xs, kink, 1200);
+  EXPECT_TRUE(total.fallback);
+  EXPECT_EQ(total.knots, xs.size());
+  // Far from the bend the certificate holds: one read fills its stencil.
+  const LazyMonotoneCubic lazy(xs);
+  LazyMonotoneCubic::Filled filled;
+  (void)lazy(5.5, kink, &filled);
+  EXPECT_EQ(filled.knots, 6u);
+  EXPECT_FALSE(filled.fallback);
+  // A flat run (zero secants) fails the certificate as well.
+  const auto flat = [](double x) { return std::min(x, 20.0); };
+  EXPECT_TRUE(expect_lazy_matches_eager(xs, flat, 400).fallback);
+}
+
+TEST(LazyInterp, ClampedReadsFillOnlyTheirEndKnot) {
+  const LazyMonotoneCubic lazy({0.0, 1.0, 2.0, 3.0});
+  const auto f = [](double x) { return 2.0 * x + 1.0; };
+  LazyMonotoneCubic::Filled filled;
+  EXPECT_EQ(lazy(-1.0, f, &filled), 1.0);
+  EXPECT_EQ(filled.knots, 1u);
+  EXPECT_EQ(lazy(9.0, f, &filled), 7.0);
+  EXPECT_EQ(filled.knots, 2u);
+  EXPECT_EQ(lazy(3.0, f, &filled), 7.0);
+  EXPECT_EQ(filled.knots, 2u) << "a filled knot is never filled again";
+  EXPECT_THROW(LazyMonotoneCubic({1.0, 1.0}), cny::ContractViolation);
 }
 
 }  // namespace

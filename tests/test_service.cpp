@@ -550,16 +550,18 @@ TEST(ServiceSessionCache, SharesWarmSessionsAndEvictsLru) {
 }
 
 // Why a coalesced group needs no exact-p_F pre-pass over its design widths:
-// on a warm session, run_flow never evaluates p_F exactly. Every p_F query
-// it makes (Brent abscissas, bracket ends, the baseline-W_min probes) lies
-// inside the session interpolant's bracket, so the design widths outside
-// it are never asked for.
+// on a warm session, every exact evaluation run_flow makes fills a knot of
+// the session table. Every p_F query it makes (Brent abscissas, bracket
+// ends, the baseline-W_min probes) lies inside the interpolant's bracket,
+// so the design widths outside it are never asked for, and a yield sweep
+// repeated over filled knots evaluates nothing at all.
 TEST(ServiceSession, WarmRunFlowEvaluatesNoExactPf) {
   obs::Registry& registry = obs::Registry::global();
   const auto exact_evaluations = [&registry] {
     return registry.counter("kernels.pf_simd_widths").value() +
            registry.counter("kernels.pf_scalar_widths").value();
   };
+  obs::Counter& knots_filled = registry.counter("device.interp_knots_filled");
   FlowRequest paper = small_request(1, 0.9);
   FlowRequest scenario = small_request(2, 0.9);
   scenario.params.scenario.shorts = cny::scenario::ShortFailure{};
@@ -570,9 +572,7 @@ TEST(ServiceSession, WarmRunFlowEvaluatesNoExactPf) {
             service::session_key(scenario).canonical());
 
   service::SessionCache cache(1, kTestKnots, 1);
-  const std::uint64_t cold = exact_evaluations();
   const auto session = cache.acquire(service::session_key(paper));
-  ASSERT_GT(exact_evaluations(), cold) << "warming books its exact knots";
   const auto design = session->design(paper.design_instances);
   std::vector<double> uncovered;
   for (const auto& [w, n] : design->width_spectrum()) {
@@ -588,17 +588,37 @@ TEST(ServiceSession, WarmRunFlowEvaluatesNoExactPf) {
     (void)yield::run_flow(session->library(), *design, session->model(),
                           params);
   };
-  for (const double yield : {0.85, 0.90, 0.95, 0.99}) {
+  const double yields[] = {0.85, 0.90, 0.95, 0.99};
+  const std::uint64_t cold = exact_evaluations();
+  const std::uint64_t cold_knots = knots_filled.value();
+  for (const double yield : yields) run(paper, yield);
+  const std::uint64_t first_pass = exact_evaluations() - cold;
+  EXPECT_GT(first_pass, 0u) << "the first flows fill the knots they read";
+  EXPECT_EQ(first_pass, knots_filled.value() - cold_knots)
+      << "every exact evaluation of a warm flow is a knot fill";
+  for (const double yield : yields) {
     const std::uint64_t before = exact_evaluations();
     run(paper, yield);
     EXPECT_EQ(exact_evaluations(), before)
-        << "exact kernel reached at yield " << yield;
+        << "exact kernel reached again at yield " << yield;
   }
+  // The fills sit at knot abscissae: exactly first_pass of the knots are
+  // memo hits now, and every other knot is a miss.
+  const std::vector<double> knots = session->model().interpolation_knots();
+  ASSERT_EQ(knots.size(), kTestKnots);
+  std::uint64_t misses = 0;
+  for (const double x : knots) {
+    const std::uint64_t before = exact_evaluations();
+    (void)session->model().p_f_exact(x);
+    misses += exact_evaluations() - before;
+  }
+  EXPECT_EQ(first_pass + misses, knots.size());
+
   // The short mode runs the same truncated-PGF kernel for its own
   // probability (ShortModel::p_short_device), so the kernel counters move
   // for this request; what must not happen is a p_F query at a design
   // width. Each such width has to be a memo miss afterwards.
-  for (const double yield : {0.85, 0.90, 0.95, 0.99}) run(scenario, yield);
+  for (const double yield : yields) run(scenario, yield);
   for (const double w : uncovered) {
     const std::uint64_t before = exact_evaluations();
     (void)session->model().p_f_exact(w);

@@ -31,12 +31,6 @@ double ShortModel::mean_shorts(double width) const {
   return process_.p_short() * width * pitch_.density();
 }
 
-double ShortModel::expected_susceptible(double width,
-                                        double n_devices) const {
-  CNY_EXPECT(n_devices >= 0.0);
-  return n_devices * p_short_device(width);
-}
-
 double ShortModel::chip_yield_shorts(double width, double n_devices,
                                      double p_noise_fails) const {
   CNY_EXPECT(p_noise_fails >= 0.0 && p_noise_fails <= 1.0);

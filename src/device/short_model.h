@@ -29,11 +29,6 @@ class ShortModel {
   /// Expected surviving m-CNT count in a device of width W.
   [[nodiscard]] double mean_shorts(double width) const;
 
-  /// Expected number of noise-susceptible gates on a chip of
-  /// `n_devices` devices of width W.
-  [[nodiscard]] double expected_susceptible(double width,
-                                            double n_devices) const;
-
   /// Chip yield against the short mode: every susceptible gate
   /// independently causes a logic failure with probability p_noise_fails.
   [[nodiscard]] double chip_yield_shorts(double width, double n_devices,

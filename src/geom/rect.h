@@ -43,25 +43,4 @@ struct Rect {
   friend bool operator==(const Rect&, const Rect&) = default;
 };
 
-/// Uniform 1-D grid (used for the globally defined aligned-active grid of
-/// Sec 3.2: active-region y-coordinates must land on grid rows).
-class Grid1D {
- public:
-  Grid1D(double origin, double pitch);
-
-  /// Nearest grid line to `v`.
-  [[nodiscard]] double snap(double v) const;
-  /// Signed distance from `v` to the nearest grid line.
-  [[nodiscard]] double offset(double v) const;
-  /// Index of the nearest grid line (can be negative).
-  [[nodiscard]] long index_of(double v) const;
-  [[nodiscard]] double line(long index) const;
-  [[nodiscard]] double pitch() const { return pitch_; }
-  [[nodiscard]] double origin() const { return origin_; }
-
- private:
-  double origin_;
-  double pitch_;
-};
-
 }  // namespace cny::geom

@@ -223,22 +223,4 @@ AlignResult align_active(const Library& lib, const AlignOptions& options,
   return result;
 }
 
-std::vector<OffsetSample> critical_region_offsets(const Library& lib,
-                                                  double w_min) {
-  std::map<double, double> acc;
-  for (const auto& c : lib.cells()) {
-    for (int r : c.critical_regions(Polarity::N, w_min)) {
-      const double y =
-          std::round(c.regions[static_cast<std::size_t>(r)].rect.y * 10.0) /
-          10.0;
-      acc[y] += 1.0;
-    }
-  }
-  std::vector<OffsetSample> out;
-  if (acc.empty()) return out;
-  const double y0 = acc.begin()->first;
-  for (const auto& [y, w] : acc) out.push_back(OffsetSample{y - y0, w});
-  return out;
-}
-
 }  // namespace cny::layout

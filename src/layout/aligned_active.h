@@ -59,16 +59,4 @@ struct AlignResult {
                                        const AlignOptions& options,
                                        double active_spacing);
 
-/// Distinct bottom-edge y offsets of critical n-type active regions across
-/// the library, weighted by how often the design mix uses each cell family.
-/// This is the offset diversity that limits correlation in the *unmodified*
-/// library (Table 1, middle column). Offsets are reported relative to the
-/// smallest one.
-struct OffsetSample {
-  double y = 0.0;       ///< relative bottom edge
-  double weight = 0.0;  ///< relative abundance
-};
-[[nodiscard]] std::vector<OffsetSample> critical_region_offsets(
-    const celllib::Library& lib, double w_min);
-
 }  // namespace cny::layout

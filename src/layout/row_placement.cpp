@@ -1,117 +1,24 @@
 #include "layout/row_placement.h"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 
-#include "rng/distributions.h"
 #include "util/contracts.h"
 
 namespace cny::layout {
 
-using celllib::Polarity;
-
-namespace {
-
-/// Per-cell critical-window template: relative y-intervals of critical
-/// n-regions, plus the cell width, with the design's instance count.
-struct CellTemplateWindows {
-  std::vector<geom::Interval> windows;
-  double width = 0.0;
-  std::uint64_t count = 0;
-};
-
-std::vector<CellTemplateWindows> collect_templates(
-    const netlist::Design& design, double w_min) {
-  CNY_EXPECT(w_min > 0.0);
-  std::vector<CellTemplateWindows> out;
-  for (const auto& ic : design.instances()) {
-    const auto* cell = design.library().find(ic.cell_name);
-    CellTemplateWindows tw;
-    tw.width = cell->width;
-    tw.count = ic.count;
-    for (int r : cell->critical_regions(Polarity::N, w_min)) {
-      const auto& rect = cell->regions[static_cast<std::size_t>(r)].rect;
-      // The window spans the upsized device width from the region's bottom
-      // edge (N devices grow upward, see Library::upsize_transistors).
-      tw.windows.push_back(geom::Interval{rect.y, rect.y + w_min});
-    }
-    out.push_back(std::move(tw));
-  }
-  return out;
-}
-
-}  // namespace
-
-RowWindows sample_row(const netlist::Design& design, const RowParams& params,
-                      rng::Xoshiro256& rng) {
-  CNY_EXPECT(params.row_length > 0.0);
-  CNY_EXPECT(params.w_min > 0.0);
-
-  const auto templates = collect_templates(design, params.w_min);
-  CNY_EXPECT_MSG(!templates.empty(), "design has no instances");
-  std::vector<double> weights;
-  weights.reserve(templates.size());
-  for (const auto& t : templates) {
-    weights.push_back(static_cast<double>(t.count));
-  }
-  const rng::DiscreteSampler pick(weights);
-
-  RowWindows row;
-  double x = 0.0;
-  std::size_t budget_windows = 0;
-  const bool fixed_density = params.fets_per_um > 0.0;
-  if (fixed_density) {
-    budget_windows = static_cast<std::size_t>(
-        params.fets_per_um * params.row_length / 1000.0 + 0.5);
-  }
-
-  while (x < params.row_length) {
-    const auto& t = templates[pick(rng)];
-    for (const auto& w : t.windows) {
-      row.windows.push_back(w);
-    }
-    x += t.width;
-    if (fixed_density && row.windows.size() >= budget_windows) break;
-  }
-  if (fixed_density) {
-    // Trim/pad to the exact target count so the density matches the paper's
-    // measured P_min-CNFET; padding replays windows from re-sampled cells.
-    while (row.windows.size() > budget_windows) row.windows.pop_back();
-    while (row.windows.size() < budget_windows) {
-      const auto& t = templates[pick(rng)];
-      for (const auto& w : t.windows) {
-        if (row.windows.size() >= budget_windows) break;
-        row.windows.push_back(w);
-      }
-    }
-  }
-  row.fets_per_um =
-      static_cast<double>(row.windows.size()) / (params.row_length / 1000.0);
-  return row;
-}
-
-double measure_fets_per_um(const netlist::Design& design, double w_min) {
-  const auto templates = collect_templates(design, w_min);
-  double fets = 0.0;
-  double width_nm = 0.0;
-  for (const auto& t : templates) {
-    fets += static_cast<double>(t.windows.size()) *
-            static_cast<double>(t.count);
-    width_nm += t.width * static_cast<double>(t.count);
-  }
-  CNY_EXPECT(width_nm > 0.0);
-  return fets / (width_nm / 1000.0);
-}
-
 std::vector<WeightedOffset> window_offsets(const netlist::Design& design,
                                            double w_min) {
-  const auto templates = collect_templates(design, w_min);
+  CNY_EXPECT(w_min > 0.0);
   std::map<double, double> acc;
-  for (const auto& t : templates) {
-    for (const auto& w : t.windows) {
-      const double key = std::round(w.lo * 10.0) / 10.0;
-      acc[key] += static_cast<double>(t.count);
+  for (const auto& ic : design.instances()) {
+    const auto* cell = design.library().find(ic.cell_name);
+    // A window spans the upsized device width from its region's bottom
+    // edge (N devices grow upward, see Library::upsize_transistors), so the
+    // bottom edge is the window's offset.
+    for (int r : cell->critical_regions(celllib::Polarity::N, w_min)) {
+      const double y = cell->regions[static_cast<std::size_t>(r)].rect.y;
+      acc[std::round(y * 10.0) / 10.0] += static_cast<double>(ic.count);
     }
   }
   std::vector<WeightedOffset> out;

@@ -1,7 +1,7 @@
-// Row placement model: realises one standard-cell row of a placed design as
-// a sequence of minimum-width CNFET *windows* — the y-interval each critical
-// device's active region spans — so the yield engine can evaluate how much
-// CNT sharing the layout actually achieves (Sec 3.1).
+// Row placement model: the y-intervals ("windows") that a design's critical
+// CNFETs occupy within a standard-cell row, reduced to the distinct window
+// offsets the cell mix produces — the input the yield engine needs to
+// evaluate how much CNT sharing the layout actually achieves (Sec 3.1).
 //
 // Within one row, directional CNTs run along x for their whole length
 // (L_CNT = 200 µm >> row length under consideration), so two windows share
@@ -12,45 +12,9 @@
 
 #include <vector>
 
-#include "celllib/library.h"
-#include "geom/interval.h"
 #include "netlist/design.h"
-#include "rng/engine.h"
 
 namespace cny::layout {
-
-struct RowParams {
-  double row_length = 200.0e3;      ///< nm of row covered by one CNT length
-  double w_min = 0.0;               ///< critical width threshold (= window W)
-  /// Target linear density of critical CNFETs, FETs/µm; the paper measures
-  /// P_min-CNFET = 1.8 FETs/µm on the OpenRISC design. When <= 0, density is
-  /// derived from the design itself.
-  double fets_per_um = 0.0;
-};
-
-struct RowWindows {
-  /// y-interval of each critical CNFET in the row (all have length ~W).
-  std::vector<geom::Interval> windows;
-  /// Realised critical-FET density, FETs/µm.
-  double fets_per_um = 0.0;
-  /// M_Rmin — number of critical CNFETs sharing one CNT length (eq. 3.2).
-  [[nodiscard]] std::size_t count() const { return windows.size(); }
-};
-
-/// Samples a row: draws cells from the design's instance mix until the row
-/// is full, collecting each critical n-region's y-interval (upsized to
-/// w_min). `rng` picks cells; the library's geometry supplies the offsets.
-/// If `params.fets_per_um > 0`, the number of windows is set by that density
-/// instead of by how many critical FETs the sampled cells happen to contain
-/// (used to match the paper's measured 1.8 FETs/µm exactly).
-[[nodiscard]] RowWindows sample_row(const netlist::Design& design,
-                                    const RowParams& params,
-                                    rng::Xoshiro256& rng);
-
-/// Measures the average critical-FET density (FETs/µm) implied by the
-/// design: total critical n-FETs per total placed cell width.
-[[nodiscard]] double measure_fets_per_um(const netlist::Design& design,
-                                         double w_min);
 
 /// The distinct window offsets (relative y positions) the design's cell mix
 /// produces, with abundance weights — the compact input for the analytic

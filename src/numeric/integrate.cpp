@@ -9,27 +9,6 @@ namespace cny::numeric {
 
 namespace {
 
-double simpson(double a, double fa, double b, double fb, double fm) {
-  return (b - a) / 6.0 * (fa + 4.0 * fm + fb);
-}
-
-double adaptive_step(const std::function<double(double)>& f, double a,
-                     double fa, double b, double fb, double m, double fm,
-                     double whole, double tol, int depth) {
-  const double lm = 0.5 * (a + m);
-  const double rm = 0.5 * (m + b);
-  const double flm = f(lm);
-  const double frm = f(rm);
-  const double left = simpson(a, fa, m, fm, flm);
-  const double right = simpson(m, fm, b, fb, frm);
-  const double delta = left + right - whole;
-  if (depth <= 0 || std::fabs(delta) <= 15.0 * tol) {
-    return left + right + delta / 15.0;
-  }
-  return adaptive_step(f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1) +
-         adaptive_step(f, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1);
-}
-
 // 16-point Gauss–Legendre nodes/weights on [-1, 1] (positive half; mirrored).
 constexpr std::array<double, 8> kGlNodes = {
     0.0950125098376374, 0.2816035507792589, 0.4580167776572274,
@@ -41,21 +20,6 @@ constexpr std::array<double, 8> kGlWeights = {
     0.0622535239386479, 0.0271524594117541};
 
 }  // namespace
-
-double integrate_adaptive(const std::function<double(double)>& f, double a,
-                          double b, double abs_tol, int max_depth) {
-  CNY_EXPECT(abs_tol > 0.0);
-  if (a == b) return 0.0;
-  double sign = 1.0;
-  if (a > b) {
-    std::swap(a, b);
-    sign = -1.0;
-  }
-  const double m = 0.5 * (a + b);
-  const double fa = f(a), fb = f(b), fm = f(m);
-  const double whole = simpson(a, fa, b, fb, fm);
-  return sign * adaptive_step(f, a, fa, b, fb, m, fm, whole, abs_tol, max_depth);
-}
 
 const std::array<double, 8>& gl16_nodes() { return kGlNodes; }
 

@@ -1,18 +1,11 @@
-// One-dimensional quadrature: adaptive Simpson (general) and fixed-order
-// Gauss–Legendre panels (fast path for the smooth renewal-equation kernels).
+// One-dimensional quadrature: fixed-order Gauss–Legendre panels (the smooth
+// renewal-equation kernels of the CNT count model).
 #pragma once
 
 #include <array>
 #include <functional>
 
 namespace cny::numeric {
-
-/// Adaptive Simpson integration of f over [a, b] to absolute tolerance
-/// `abs_tol` (with a depth cap to guarantee termination).
-[[nodiscard]] double integrate_adaptive(const std::function<double(double)>& f,
-                                        double a, double b,
-                                        double abs_tol = 1e-12,
-                                        int max_depth = 40);
 
 /// Composite 16-point Gauss–Legendre over `panels` equal sub-intervals.
 /// Exact for polynomials of degree <= 31 per panel; ideal for the smooth

@@ -1,6 +1,5 @@
 #include "numeric/special.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -96,14 +95,6 @@ double gamma_pdf(double x, double k, double theta) {
   return std::exp(logp);
 }
 
-double poisson_cdf(long n, double lambda) {
-  CNY_EXPECT(n >= 0);
-  CNY_EXPECT(lambda >= 0.0);
-  if (lambda == 0.0) return 1.0;
-  // P(X <= n) = Q(n+1, lambda).
-  return gamma_q(static_cast<double>(n) + 1.0, lambda);
-}
-
 double poisson_pmf(long n, double lambda) {
   CNY_EXPECT(n >= 0);
   CNY_EXPECT(lambda >= 0.0);
@@ -111,27 +102,6 @@ double poisson_pmf(long n, double lambda) {
   const double logp = -lambda + n * std::log(lambda) -
                       log_gamma(static_cast<double>(n) + 1.0);
   return std::exp(logp);
-}
-
-double log_add_exp(double a, double b) {
-  if (a == -std::numeric_limits<double>::infinity()) return b;
-  if (b == -std::numeric_limits<double>::infinity()) return a;
-  const double m = std::max(a, b);
-  return m + std::log1p(std::exp(std::min(a, b) - m));
-}
-
-double log_sum_exp(const std::vector<double>& v) {
-  double acc = -std::numeric_limits<double>::infinity();
-  for (double x : v) acc = log_add_exp(acc, x);
-  return acc;
-}
-
-double log1m_exp(double x) {
-  CNY_EXPECT(x < 0.0);
-  // Mächler's recipe: use log(-expm1(x)) for x > -ln2, log1p(-exp(x)) below.
-  constexpr double kLn2 = 0.6931471805599453;
-  if (x > -kLn2) return std::log(-std::expm1(x));
-  return std::log1p(-std::exp(x));
 }
 
 }  // namespace cny::numeric

@@ -1,7 +1,6 @@
 // Special functions needed by the CNT count model:
 //   * regularized incomplete gamma P(a,x)/Q(a,x) — Gamma CDF/CCDF
 //   * log-gamma (wraps lgamma_r: std::lgamma writes the global signgam)
-//   * log-sum-exp helpers for assembling tiny tail probabilities
 //
 // Implementations follow the classic series/continued-fraction split at
 // x < a+1 (Numerical Recipes style), with relative accuracy ~1e-12 over the
@@ -9,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace cny::numeric {
 
@@ -84,19 +82,7 @@ namespace cny::numeric {
 /// PDF of Gamma(shape k, scale theta) at x (0 for x < 0; handles k < 1 at 0+).
 [[nodiscard]] double gamma_pdf(double x, double k, double theta);
 
-/// Poisson CDF P(X <= n) for X ~ Poisson(lambda); n >= 0.
-[[nodiscard]] double poisson_cdf(long n, double lambda);
-
 /// Poisson PMF P(X == n).
 [[nodiscard]] double poisson_pmf(long n, double lambda);
-
-/// log(exp(a) + exp(b)) without overflow.
-[[nodiscard]] double log_add_exp(double a, double b);
-
-/// log(sum exp(v_i)) without overflow; returns -inf for an empty vector.
-[[nodiscard]] double log_sum_exp(const std::vector<double>& v);
-
-/// log(1 - exp(x)) for x < 0, accurate near both ends.
-[[nodiscard]] double log1m_exp(double x);
 
 }  // namespace cny::numeric

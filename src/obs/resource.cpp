@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/snapshot.h"
+
 namespace cny::obs {
 
 namespace {
@@ -202,7 +204,7 @@ void ResourceSampler::run() {
 void ResourceSampler::tick() {
   const std::lock_guard<std::mutex> lock(impl_->tick_mutex);
   refresh_resource_gauges(impl_->options.registry);
-  if (impl_->options.ring == nullptr && impl_->export_file == nullptr) return;
+  if (impl_->export_file == nullptr) return;
   TimedSnapshot snapshot;
   snapshot.wall_ms = wall_ms_now();
   snapshot.mono_us = mono_us_now();
@@ -214,14 +216,9 @@ void ResourceSampler::tick() {
                       : Registry::global();
     snapshot.metrics = r.snapshot();
   }
-  if (impl_->export_file != nullptr) {
-    const std::string line = snapshot_jsonl_line(snapshot);
-    std::fprintf(impl_->export_file, "%s\n", line.c_str());
-    std::fflush(impl_->export_file);
-  }
-  if (impl_->options.ring != nullptr) {
-    impl_->options.ring->push(std::move(snapshot));
-  }
+  const std::string line = snapshot_jsonl_line(snapshot);
+  std::fprintf(impl_->export_file, "%s\n", line.c_str());
+  std::fflush(impl_->export_file);
 }
 
 }  // namespace cny::obs

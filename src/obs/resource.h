@@ -10,10 +10,8 @@
 //   * ResourceSampler — a background thread sampling on a fixed interval
 //     into `process.*` gauges of a Registry (so the stats payload and the
 //     /metrics endpoint surface memory/CPU without any caller plumbing)
-//     and, optionally, pushing a timestamped MetricsSnapshot into a
-//     SnapshotRing (+ appending a JSONL export line) per tick — the
-//     continuous-telemetry feed `cntyield_cli top` and the snapshot-rate
-//     tests read.
+//     and, optionally, appending a timestamped MetricsSnapshot as one
+//     JSONL export line per tick — the continuous-telemetry time series.
 //
 // Like every obs facility, this is observability plumbing, never
 // semantics: nothing in the library branches on a sampled value, so a
@@ -27,7 +25,6 @@
 #include <string_view>
 
 #include "obs/metrics.h"
-#include "obs/snapshot.h"
 
 namespace cny::obs {
 
@@ -71,15 +68,13 @@ class ResourceSampler {
     /// threads,open_fds} gauges live. Null = Registry::global(), which is
     /// what makes them appear in every stats payload's "process" block.
     Registry* registry = nullptr;
-    /// When set, each tick pushes {wall_ms, mono_us, snapshot_source()}
-    /// here — the time series `top` rates are computed from.
-    SnapshotRing* ring = nullptr;
-    /// What goes into the ring (typically a server registry's snapshot).
-    /// Null with a ring set = snapshot the gauge registry itself.
+    /// What each export line carries (typically a server registry's
+    /// snapshot). Null = snapshot the gauge registry itself.
     std::function<MetricsSnapshot()> snapshot_source;
     /// When non-empty, each tick also appends one self-contained JSONL
-    /// line ({"wall_ms","mono_us","counters","gauges"}) here, flushed
-    /// immediately — a killed run keeps every complete line.
+    /// line ({"wall_ms","mono_us","counters","gauges"}) of
+    /// snapshot_source() here, flushed immediately — a killed run keeps
+    /// every complete line.
     std::string export_path;
   };
 
@@ -88,10 +83,8 @@ class ResourceSampler {
   ResourceSampler(const ResourceSampler&) = delete;
   ResourceSampler& operator=(const ResourceSampler&) = delete;
 
-  /// Takes one sample synchronously (the same work a tick does). The
-  /// /metrics scrape path calls this so a scrape never reads gauges more
-  /// than one interval stale — and it is how tests drive the sampler
-  /// deterministically.
+  /// Takes one sample synchronously (the same work a tick does) — how
+  /// tests drive the sampler deterministically.
   void sample_now();
 
   /// Stops and joins the thread. Idempotent; the destructor calls it.

@@ -1,7 +1,6 @@
 #include "obs/snapshot.h"
 
-#include <map>
-#include <stdexcept>
+#include <cstdio>
 
 namespace cny::obs {
 
@@ -31,35 +30,6 @@ void append_escaped(std::string& out, std::string_view text) {
 
 }  // namespace
 
-std::vector<std::pair<std::string, double>> counter_rates(
-    const TimedSnapshot& from, const TimedSnapshot& to) {
-  std::vector<std::pair<std::string, double>> out;
-  // Zero-interval guard: a rate over no elapsed time is reported as 0,
-  // not NaN/inf — two snapshots taken back-to-back are legal input.
-  if (to.mono_us <= from.mono_us) {
-    for (const auto& [name, value] : to.metrics.counters) {
-      out.emplace_back(name, 0.0);
-    }
-    return out;
-  }
-  const double dt_s =
-      static_cast<double>(to.mono_us - from.mono_us) / 1e6;
-  std::map<std::string, std::uint64_t> before;
-  for (const auto& [name, value] : from.metrics.counters) {
-    before.emplace(name, value);
-  }
-  for (const auto& [name, value] : to.metrics.counters) {
-    const auto it = before.find(name);
-    if (it == before.end()) continue;  // appeared mid-window
-    // Monotonicity clamp: counters never decrease, so an apparent
-    // decrease means the source restarted between snapshots — rate 0
-    // beats a bogus negative.
-    const std::uint64_t delta = value >= it->second ? value - it->second : 0;
-    out.emplace_back(name, static_cast<double>(delta) / dt_s);
-  }
-  return out;
-}
-
 std::string snapshot_jsonl_line(const TimedSnapshot& snapshot) {
   std::string out = "{\"wall_ms\":" + std::to_string(snapshot.wall_ms) +
                     ",\"mono_us\":" + std::to_string(snapshot.mono_us) +
@@ -83,52 +53,6 @@ std::string snapshot_jsonl_line(const TimedSnapshot& snapshot) {
   }
   out += "}}";
   return out;
-}
-
-SnapshotRing::SnapshotRing(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  slots_.reserve(capacity_);
-}
-
-void SnapshotRing::push(TimedSnapshot snapshot) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (slots_.size() < capacity_) {
-    slots_.push_back(std::move(snapshot));
-    return;
-  }
-  slots_[next_] = std::move(snapshot);
-  next_ = (next_ + 1) % capacity_;
-}
-
-std::size_t SnapshotRing::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return slots_.size();
-}
-
-TimedSnapshot SnapshotRing::at(std::size_t index) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (index >= slots_.size()) {
-    throw std::out_of_range("SnapshotRing::at(" + std::to_string(index) +
-                            ") of " + std::to_string(slots_.size()));
-  }
-  // Before the first wrap slots_ is already oldest-first; after it, the
-  // oldest surviving entry sits at the wrap position.
-  const std::size_t base = slots_.size() < capacity_ ? 0 : next_;
-  return slots_[(base + index) % slots_.size()];
-}
-
-std::vector<std::pair<std::string, double>> SnapshotRing::latest_rates()
-    const {
-  TimedSnapshot from;
-  TimedSnapshot to;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (slots_.size() < 2) return {};
-    const std::size_t base = slots_.size() < capacity_ ? 0 : next_;
-    from = slots_[(base + slots_.size() - 2) % slots_.size()];
-    to = slots_[(base + slots_.size() - 1) % slots_.size()];
-  }
-  return counter_rates(from, to);
 }
 
 }  // namespace cny::obs

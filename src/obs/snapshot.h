@@ -1,29 +1,18 @@
-// Time-series snapshots: a fixed-capacity ring of timestamped
-// MetricsSnapshots, plus delta/rate computation between any two entries.
-//
-// The ring is the bridge from point-in-time metrics to *rates over time*:
-// a sampler pushes one TimedSnapshot per tick, bounded memory (the ring
-// overwrites its oldest entry), and a reader computes requests/s or
-// errors/s between any two entries without the writer keeping any
-// derived state. Rates are defensive by construction: a zero or negative
-// interval yields 0 (never a division blow-up), and a counter that
-// appears to go backwards (a restarted server scraped into the same
-// ring) clamps to 0 instead of reporting a huge negative rate.
+// Time-series snapshots: one timestamped MetricsSnapshot and its JSONL
+// rendering — the line format of the resource sampler's export file
+// (`serve --snapshot-file`). A reader computes rates between any two
+// lines; the writer keeps no derived state.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/metrics.h"
 
 namespace cny::obs {
 
-/// One ring entry: a metrics snapshot plus when it was taken, on both
-/// clocks — wall time for humans/export, monotonic time for rate math
+/// One time-series entry: a metrics snapshot plus when it was taken, on
+/// both clocks — wall time for humans/export, monotonic time for rate math
 /// (wall time can step; rates must never see that).
 struct TimedSnapshot {
   std::uint64_t wall_ms = 0;  ///< system_clock since epoch
@@ -31,43 +20,10 @@ struct TimedSnapshot {
   MetricsSnapshot metrics;
 };
 
-/// Per-second counter rates between two snapshots, name-sorted. Counters
-/// present in only one snapshot are skipped (they appeared mid-window;
-/// the next window rates them).
-[[nodiscard]] std::vector<std::pair<std::string, double>> counter_rates(
-    const TimedSnapshot& from, const TimedSnapshot& to);
-
 /// Renders one TimedSnapshot as a self-contained JSON line
 /// ({"wall_ms":..,"mono_us":..,"counters":{..},"gauges":{..}}) — the
 /// JSONL export format (histograms are summarised by the stats payload
 /// and /metrics; the time series carries the countable state).
 [[nodiscard]] std::string snapshot_jsonl_line(const TimedSnapshot& snapshot);
-
-/// Fixed-capacity ring of TimedSnapshots, oldest-first indexing.
-/// Thread-safe: one sampler pushes while readers iterate.
-class SnapshotRing {
- public:
-  explicit SnapshotRing(std::size_t capacity);
-
-  void push(TimedSnapshot snapshot);
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-  /// Entry `index` with 0 = oldest surviving, size()-1 = newest.
-  /// Throws std::out_of_range past size().
-  [[nodiscard]] TimedSnapshot at(std::size_t index) const;
-
-  /// Convenience: rates between the two newest entries (what a live
-  /// dashboard shows). Empty when fewer than two entries exist.
-  [[nodiscard]] std::vector<std::pair<std::string, double>> latest_rates()
-      const;
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<TimedSnapshot> slots_;  ///< grows to capacity_, then wraps
-  std::size_t next_ = 0;              ///< wrap position once full
-};
 
 }  // namespace cny::obs

@@ -133,11 +133,6 @@ void TraceSink::complete(
   std::fwrite(line.data(), 1, line.size(), file_);
 }
 
-void TraceSink::flush() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::fflush(file_);
-}
-
 #endif  // !CNY_NO_OBS
 
 }  // namespace cny::obs

@@ -82,10 +82,6 @@ class TraceSink {
       std::uint64_t start_ns, std::uint64_t dur_ns,
       const std::vector<std::pair<std::string, std::string>>& args = {});
 
-  /// Flushes buffered event lines to the file (events are already
-  /// line-buffered; this is for tests that read the file mid-run).
-  void flush();
-
  private:
   std::FILE* file_ = nullptr;
   std::mutex mutex_;
@@ -141,7 +137,6 @@ class TraceSink {
                 std::uint64_t,
                 const std::vector<std::pair<std::string, std::string>>& =
                     {}) {}
-  void flush() {}
 };
 
 class Span {

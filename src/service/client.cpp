@@ -84,14 +84,6 @@ YieldClient::~YieldClient() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-YieldClient::YieldClient(YieldClient&& other) noexcept
-    : loopback_(other.loopback_), fd_(other.fd_),
-      timeout_ms_(other.timeout_ms_), host_(std::move(other.host_)),
-      port_(other.port_), retry_(other.retry_), trace_(other.trace_) {
-  other.loopback_ = nullptr;
-  other.fd_ = -1;
-}
-
 std::string YieldClient::roundtrip(std::string frame) {
   if (loopback_ != nullptr) return loopback_->submit(std::move(frame)).get();
 

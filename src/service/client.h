@@ -87,8 +87,6 @@ class YieldClient {
   YieldClient(const std::string& host, std::uint16_t port,
               unsigned timeout_ms = 300000);
   ~YieldClient();
-  YieldClient(YieldClient&& other) noexcept;
-  YieldClient& operator=(YieldClient&&) = delete;
   YieldClient(const YieldClient&) = delete;
   YieldClient& operator=(const YieldClient&) = delete;
 

@@ -10,19 +10,6 @@
 
 namespace cny::service {
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::DropBeforeResponse: return "drop";
-    case FaultKind::DropAfterResponse: return "drop-after";
-    case FaultKind::Delay: return "delay";
-    case FaultKind::TruncateResponse: return "truncate";
-    case FaultKind::CorruptPayloadByte: return "corrupt";
-    case FaultKind::TransientReject: return "reject";
-    case FaultKind::SlowLorisResponse: return "slowloris";
-  }
-  return "unknown";
-}
-
 std::vector<FaultSpec> fault_specs_from_names(const std::string& names) {
   // Parameters are harsh enough to break a naive client (framing lost,
   // ms-scale stalls) but fast enough for CI loops.

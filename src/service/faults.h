@@ -53,9 +53,6 @@ struct FaultSpec {
   std::string error_code = "try_later";  ///< TransientReject
 };
 
-/// Human-readable name ("drop", "delay", ...), for logs and CLI echoes.
-[[nodiscard]] const char* to_string(FaultKind kind);
-
 /// Parses a comma-separated fault list for the CLI (--chaos=...):
 /// drop, drop-after, delay, truncate, corrupt, reject, slowloris — each
 /// with harsh-but-fast built-in parameters (ms-scale delays). Throws

@@ -25,7 +25,6 @@
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
 #include "obs/resource.h"
-#include "obs/snapshot.h"
 #include "service/evaluate.h"
 #include "util/contracts.h"
 
@@ -76,9 +75,6 @@ struct YieldServer::Impl {
 
   SessionCache cache;
 
-  /// Time series the resource sampler feeds (server counters + process
-  /// gauges per tick); sized for ~4 minutes at the default 1 s interval.
-  obs::SnapshotRing snapshot_ring{256};
   std::optional<obs::ResourceSampler> sampler;
 
   [[nodiscard]] obs::TraceSink* trace() const {
@@ -647,9 +643,8 @@ void YieldServer::start() {
   if (impl.options.sample_interval_ms > 0) {
     obs::ResourceSampler::Options sampler_options;
     sampler_options.interval_ms = impl.options.sample_interval_ms;
-    sampler_options.ring = &impl.snapshot_ring;
     sampler_options.export_path = impl.options.snapshot_export_path;
-    // Each ring entry carries this server's counters plus the process-wide
+    // Each export line carries this server's counters plus the process-wide
     // gauges (exec.*, process.*) so one time series answers both "how fast"
     // and "how big".
     sampler_options.snapshot_source = [&impl] {

@@ -85,8 +85,8 @@ struct ServerOptions {
   /// as tracing.
   std::shared_ptr<obs::Log> log;
   /// Milliseconds between background resource samples (process.* gauges
-  /// plus one SnapshotRing entry per tick). 0 = sampler off; scrapes and
-  /// stats frames still refresh the gauges synchronously.
+  /// per tick). 0 = sampler off; scrapes and stats frames still refresh
+  /// the gauges synchronously.
   unsigned sample_interval_ms = 0;
   /// When non-empty (with the sampler on), each tick appends one
   /// self-contained snapshot JSONL line here.

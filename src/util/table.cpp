@@ -1,7 +1,6 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
 
 #include "util/contracts.h"
@@ -118,10 +117,6 @@ std::string Table::to_csv() const {
   if (!header_.empty()) emit(header_);
   for (const auto& r : rows_) emit(r);
   return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const Table& t) {
-  return os << t.to_text();
 }
 
 }  // namespace cny::util

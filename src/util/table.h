@@ -2,7 +2,6 @@
 // to print the paper's tables and figure series.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -50,7 +49,5 @@ class Table {
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-std::ostream& operator<<(std::ostream& os, const Table& t);
 
 }  // namespace cny::util

@@ -1,15 +1,11 @@
 // Tests for the extension modules: finite CNT length correlation, the
-// surviving-m-CNT short model, the removal selectivity tradeoff, and the
-// chip floorplan substrate.
+// surviving-m-CNT short model and the removal selectivity tradeoff.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "celllib/generator.h"
 #include "cnt/removal_tradeoff.h"
 #include "device/short_model.h"
-#include "layout/floorplan.h"
-#include "netlist/design_generator.h"
 #include "stats/accumulator.h"
 #include "util/contracts.h"
 #include "yield/length_variation.h"
@@ -233,84 +229,6 @@ TEST(RemovalTradeoff, ProcessAtProducesValidParams) {
   EXPECT_DOUBLE_EQ(params.p_remove_m, 0.9999);
   EXPECT_GT(params.p_fail(), params.p_metallic);
   EXPECT_NO_THROW(params.validate());
-}
-
-// ------------------------------------------------------------- floorplan
-
-TEST(Floorplan, PlacesEveryInstanceAndDerivesDensity) {
-  const auto lib = celllib::make_nangate45_like();
-  const auto design = netlist::generate_design("d", lib, 5000, {});
-  rng::Xoshiro256 rng(401);
-  layout::FloorplanParams params;
-  params.row_width = 100.0e3;
-  const auto plan = layout::place_design(design, 103.0, params, rng);
-  EXPECT_GT(plan.n_rows, 10u);
-  EXPECT_GT(plan.windows.size(), 100u);
-  EXPECT_NEAR(plan.placed_width / design.total_width(), 1.0, 2.0);  // sanity
-  const double density = plan.fets_per_um();
-  EXPECT_GT(density, 0.01);
-  EXPECT_LT(density, 10.0);
-}
-
-TEST(Floorplan, RowWindowsSortedAndWithinRow) {
-  const auto lib = celllib::make_nangate45_like();
-  const auto design = netlist::generate_design("d", lib, 3000, {});
-  rng::Xoshiro256 rng(402);
-  layout::FloorplanParams params;
-  params.row_width = 50.0e3;
-  const auto plan = layout::place_design(design, 103.0, params, rng);
-  const auto row0 = plan.row_windows(0);
-  ASSERT_FALSE(row0.empty());
-  for (std::size_t i = 1; i < row0.size(); ++i) {
-    EXPECT_GE(row0[i].x, row0[i - 1].x);
-  }
-  for (const auto& w : row0) {
-    EXPECT_EQ(w.row, 0u);
-    EXPECT_GE(w.x, 0.0);
-    EXPECT_LE(w.x, params.row_width);
-    EXPECT_NEAR(w.y.length(), 103.0, 1e-9);
-  }
-}
-
-TEST(Floorplan, SegmentWindowsRestrictToCntLength) {
-  const auto lib = celllib::make_nangate45_like();
-  const auto design = netlist::generate_design("d", lib, 3000, {});
-  rng::Xoshiro256 rng(403);
-  layout::FloorplanParams params;
-  params.row_width = 300.0e3;
-  const auto plan = layout::place_design(design, 103.0, params, rng);
-  const auto seg = plan.segment_windows(0, 0.0, 50.0e3);
-  for (const auto& w : seg) {
-    EXPECT_LT(w.x, 50.0e3);
-  }
-  const auto whole = plan.row_windows(0);
-  EXPECT_LE(seg.size(), whole.size());
-}
-
-TEST(Floorplan, SamplingCapRespected) {
-  const auto lib = celllib::make_nangate45_like();
-  const auto design = netlist::generate_design("d", lib, 50000, {});
-  rng::Xoshiro256 rng(404);
-  layout::FloorplanParams params;
-  params.row_width = 100.0e3;
-  params.max_instances = 2000;
-  const auto plan = layout::place_design(design, 103.0, params, rng);
-  // Placed width bounded by ~2000 cells * max cell width.
-  EXPECT_LT(plan.placed_width, 2000.0 * 10000.0);
-  EXPECT_GT(plan.windows.size(), 10u);
-}
-
-TEST(Floorplan, DeterministicGivenSeed) {
-  const auto lib = celllib::make_nangate45_like();
-  const auto design = netlist::generate_design("d", lib, 2000, {});
-  rng::Xoshiro256 a(7), b(7);
-  layout::FloorplanParams params;
-  const auto p1 = layout::place_design(design, 103.0, params, a);
-  const auto p2 = layout::place_design(design, 103.0, params, b);
-  ASSERT_EQ(p1.windows.size(), p2.windows.size());
-  for (std::size_t i = 0; i < p1.windows.size(); ++i) {
-    EXPECT_DOUBLE_EQ(p1.windows[i].x, p2.windows[i].x);
-  }
 }
 
 }  // namespace

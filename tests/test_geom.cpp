@@ -91,19 +91,6 @@ TEST(Rect, OverlapAndTranslate) {
   EXPECT_DOUBLE_EQ(t.y, -1.0);
 }
 
-TEST(Grid1D, SnapAndOffset) {
-  const Grid1D grid(10.0, 5.0);
-  EXPECT_DOUBLE_EQ(grid.snap(12.4), 10.0);
-  EXPECT_DOUBLE_EQ(grid.snap(12.6), 15.0);
-  EXPECT_DOUBLE_EQ(grid.offset(16.0), 1.0);
-  EXPECT_EQ(grid.index_of(-0.1), -2);
-  EXPECT_DOUBLE_EQ(grid.line(-2), 0.0);
-}
-
-TEST(Grid1D, RejectsNonPositivePitch) {
-  EXPECT_THROW(Grid1D(0.0, 0.0), cny::ContractViolation);
-}
-
 TEST(Svg, ProducesValidDocument) {
   SvgWriter svg(Rect{0.0, 0.0, 100.0, 50.0}, 200.0);
   svg.rect({10.0, 10.0, 20.0, 10.0}, "#ff0000", "black", 1.0, 0.5);

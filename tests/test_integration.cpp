@@ -10,7 +10,7 @@
 #include "cnt/growth.h"
 #include "device/failure_model.h"
 #include "layout/aligned_active.h"
-#include "layout/floorplan.h"
+#include "layout/row_placement.h"
 #include "netlist/design_generator.h"
 #include "util/contracts.h"
 #include "yield/circuit_yield.h"
@@ -53,29 +53,27 @@ TEST(Integration, ChipYieldComposesFromRowModel) {
 }
 
 TEST(Integration, FloorplanWindowsDriveTheChipSimulator) {
-  // Place a real (small) design, take one row's windows scaled down to the
+  // Take the window offsets a real (small) design's cell mix produces —
+  // the offsets run_flow feeds the union — scale the windows down to the
   // inflated regime, and check that the chip simulator's directional p_RF
   // matches the analytic union over the same window set.
   const auto lib = celllib::make_nangate45_like();
   const auto design = netlist::generate_design("d", lib, 3000, {});
-  rng::Xoshiro256 rng(702);
-  layout::FloorplanParams fp;
-  fp.row_width = 30.0e3;
-  const auto plan = layout::place_design(design, 103.0, fp, rng);
-  const auto placed = plan.row_windows(0);
-  ASSERT_GE(placed.size(), 3u);
+  const auto offsets = layout::window_offsets(design, 103.0);
+  ASSERT_GE(offsets.size(), 3u);
 
   // Shrink the windows to the inflated regime but keep the *offsets* the
-  // placement produced.
+  // cell mix produced.
   std::vector<geom::Interval> windows;
-  for (std::size_t i = 0; i < std::min<std::size_t>(placed.size(), 12); ++i) {
-    windows.push_back({placed[i].y.lo, placed[i].y.lo + kWidth});
+  for (std::size_t i = 0; i < std::min<std::size_t>(offsets.size(), 12); ++i) {
+    windows.push_back({offsets[i].y, offsets[i].y + kWidth});
   }
 
   const cnt::DirectionalGrowth growth(pitch(), cnt::fig21_worst(), 200.0e3);
   yield::ChipSpec spec;
   spec.row_windows = windows;
   spec.n_rows = 1;
+  rng::Xoshiro256 rng(702);
   const auto sim = yield::simulate_chip_yield(
       growth, spec, yield::GrowthStyle::Directional, 60000, rng);
   const double exact = yield::poisson_union_exact(lambda_s(), windows);
@@ -84,23 +82,19 @@ TEST(Integration, FloorplanWindowsDriveTheChipSimulator) {
 }
 
 TEST(Integration, AlignedLibraryCollapsesPlacementOffsets) {
-  // After the aligned-active transform, every critical window a placement
-  // produces sits at the same y — the geometric mechanism of Table 1's
-  // third column, verified through the placement pipeline.
+  // After the aligned-active transform, every critical window a design's
+  // cell mix produces sits at the same y — the geometric mechanism of
+  // Table 1's third column, verified through the offsets run_flow reads.
   const auto lib = celllib::make_nangate45_like();
   layout::AlignOptions options;
   options.w_min = 103.0;
   const auto aligned = layout::align_active(lib, options, 140.0);
   const auto design =
       netlist::generate_design("d", aligned.library, 3000, {});
-  rng::Xoshiro256 rng(703);
-  layout::FloorplanParams fp;
-  fp.row_width = 50.0e3;
-  const auto plan = layout::place_design(design, 103.0, fp, rng);
-  ASSERT_GT(plan.windows.size(), 20u);
-  for (const auto& w : plan.windows) {
-    EXPECT_DOUBLE_EQ(w.y.lo, aligned.grid_y_n);
-  }
+  const auto offsets = layout::window_offsets(design, 103.0);
+  ASSERT_EQ(offsets.size(), 1u);
+  EXPECT_DOUBLE_EQ(offsets[0].y, aligned.grid_y_n);
+  EXPECT_GT(offsets[0].weight, 20.0);
 }
 
 TEST(Integration, UpsizedLibrarySpectrumMatchesSpectrumUpsizing) {

@@ -148,51 +148,19 @@ TEST(AlignedActive, RejectsBadOptions) {
 
 TEST(CriticalOffsets, AlignedLibraryHasSingleOffset) {
   const auto res = align_active(lib45(), one_row(103.0), 140.0);
-  const auto offsets = critical_region_offsets(res.library, 103.0);
+  const auto design = cny::netlist::make_openrisc_like(res.library);
+  const auto offsets = window_offsets(design, 103.0);
   ASSERT_EQ(offsets.size(), 1u);
-  EXPECT_DOUBLE_EQ(offsets[0].y, 0.0);
+  EXPECT_DOUBLE_EQ(offsets[0].y, res.grid_y_n);
 }
 
 TEST(CriticalOffsets, UnmodifiedLibraryIsDiverse) {
-  const auto offsets = critical_region_offsets(lib45(), 103.0);
+  const auto design = cny::netlist::make_openrisc_like(lib45());
+  const auto offsets = window_offsets(design, 103.0);
   EXPECT_GT(offsets.size(), 5u);
 }
 
 // ------------------------------------------------------------- placement
-
-TEST(RowPlacement, MeasuredDensityIsPositiveAndPlausible) {
-  const auto design = cny::netlist::make_openrisc_like(lib45());
-  const double d = measure_fets_per_um(design, 103.0);
-  EXPECT_GT(d, 0.02);
-  EXPECT_LT(d, 6.0);
-}
-
-TEST(RowPlacement, SampleRowFixedDensityHitsBudget) {
-  const auto design = cny::netlist::make_openrisc_like(lib45());
-  cny::rng::Xoshiro256 rng(55);
-  RowParams params;
-  params.row_length = 200.0e3;
-  params.w_min = 103.0;
-  params.fets_per_um = 1.8;
-  const auto row = sample_row(design, params, rng);
-  EXPECT_EQ(row.count(), 360u);
-  EXPECT_NEAR(row.fets_per_um, 1.8, 1e-9);
-  for (const auto& w : row.windows) {
-    EXPECT_NEAR(w.length(), 103.0, 1e-9);
-  }
-}
-
-TEST(RowPlacement, SampleRowDerivedDensity) {
-  const auto design = cny::netlist::make_openrisc_like(lib45());
-  cny::rng::Xoshiro256 rng(56);
-  RowParams params;
-  params.row_length = 100.0e3;
-  params.w_min = 103.0;
-  params.fets_per_um = 0.0;  // derive from design
-  const auto row = sample_row(design, params, rng);
-  EXPECT_GT(row.count(), 10u);
-  EXPECT_NEAR(row.fets_per_um, measure_fets_per_um(design, 103.0), 1.0);
-}
 
 TEST(RowPlacement, WindowOffsetsWeightedByMix) {
   const auto design = cny::netlist::make_openrisc_like(lib45());

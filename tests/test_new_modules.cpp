@@ -1,5 +1,5 @@
-// Tests for design I/O, the count-correlation estimator, the report
-// framework, and the units header.
+// Tests for design I/O, the count-correlation estimator and the report
+// framework.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,19 +12,10 @@
 #include "report/experiment.h"
 #include "rng/engine.h"
 #include "util/contracts.h"
-#include "util/units.h"
 
 namespace {
 
 using namespace cny;
-
-// ---------------------------------------------------------------- units
-
-TEST(Units, Conversions) {
-  EXPECT_DOUBLE_EQ(200.0 * units::um, 200000.0);
-  EXPECT_DOUBLE_EQ(1.0 * units::mm, 1.0e6);
-  EXPECT_DOUBLE_EQ(units::per_um(1.8), 0.0018);
-}
 
 // ------------------------------------------------------------- design io
 

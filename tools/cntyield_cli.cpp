@@ -948,8 +948,8 @@ int cmd_top(const util::Cli& cli) {
         double rate = 0.0;
         if (have_prev && dt_s > 0) {
           const auto it = prev_counters.find(name);
-          // Same guards as obs::counter_rates: a counter that appeared or
-          // went backwards (server restart) rates as 0, never negative.
+          // A counter that appeared or went backwards (server restart)
+          // rates as 0, never negative.
           if (it != prev_counters.end() && val >= it->second) {
             rate = (val - it->second) / dt_s;
           }
